@@ -36,9 +36,11 @@ def combine_dempster(m1: Bba, m2: Bba) -> Bba:
     """Orthogonal sum of two BBAs.
 
     Mass products of intersecting focal pairs accumulate on the
-    intersection and are renormalized by 1 - k. Raises TotalConflictError
-    when k is 1 within CONFLICT_TOLERANCE: the orthogonal sum does not
-    exist for fully contradicting sources.
+    intersection and, when any pair conflicts, are renormalized by their
+    total. That total equals 1 - k but does not lose precision to the
+    cancellation in 1 - k when the conflict is high. Raises TotalConflictError when k is 1 within
+    CONFLICT_TOLERANCE: the orthogonal sum does not exist for fully
+    contradicting sources.
     """
     _check_same_frame(m1, m2)
     accumulated: dict[int, float] = {}
@@ -56,7 +58,10 @@ def combine_dempster(m1: Bba, m2: Bba) -> Bba:
         raise TotalConflictError(
             f"total conflict between sources (k = {k!r}); orthogonal sum undefined"
         )
-    norm = 1.0 - k
+    # Without conflict the products already sum to one; dividing by their
+    # rounded total would only perturb the last bits (and break the exact
+    # identity of combining with the vacuous BBA).
+    norm = sum(accumulated.values()) if k else 1.0
     return build_bba(
         m1.frame,
         [

@@ -8,6 +8,7 @@ masses on non-empty subsets of its frame, summing to one.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Union
@@ -109,9 +110,13 @@ class FocalSet:
     @property
     def members(self) -> tuple[int, ...]:
         """Member positions, ascending and 1-based."""
-        return tuple(
-            i + 1 for i in range(self.frame.size) if self.bits >> i & 1
-        )
+        members = []
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            members.append(low.bit_length())
+            bits ^= low
+        return tuple(members)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -196,10 +201,10 @@ def build_bba(
     """Build a validated BBA from (set, mass) pairs.
 
     Sets may be FocalSet instances or iterables of labels / 1-based
-    positions. Pairs naming the same set merge by summing their masses;
-    zero-mass pairs drop out. With ``renormalize`` the merged masses are
-    scaled to sum to one, otherwise the sum must already be 1 within
-    MASS_SUM_TOLERANCE.
+    positions. Masses must be finite and nonnegative. Pairs naming the
+    same set merge by summing their masses; zero-mass pairs drop out.
+    With ``renormalize`` the merged masses are scaled to sum to one,
+    otherwise the sum must already be 1 within MASS_SUM_TOLERANCE.
     """
     if isinstance(entries, Mapping):
         entries = entries.items()
@@ -211,6 +216,10 @@ def build_bba(
                 f"focal set {focal_set!r} belongs to a different frame"
             )
         mass = float(mass)
+        if not math.isfinite(mass):
+            raise ValidationError(
+                f"focal masses must be finite, got {mass!r} on {focal_set!r}"
+            )
         if mass < 0.0:
             raise ValidationError(
                 f"focal masses must be nonnegative, got {mass!r} on {focal_set!r}"

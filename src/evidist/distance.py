@@ -7,15 +7,21 @@ Three measures between BBAs on a shared frame:
 * ``dif_betp`` (in :mod:`evidist.pignistic`) compares betting commitments.
 * ``red_distance`` is the ranking evidence distance: the only one of the
   three that sees the frame's grade order. Both BBAs pass through the
-  pignistic transformation and the resulting probability difference is
-  measured in the quadratic form of a grade-closeness correlation matrix,
-  so disagreement between neighbouring grades costs less than
-  disagreement between distant ones.
+  pignistic transformation and the resulting probability difference d is
+  measured in the quadratic form of the grade-closeness correlation matrix
+  S (``correlation_matrix``), so disagreement between neighbouring grades
+  costs less than disagreement between distant ones. Because d sums to
+  zero, 1/2 d^T S d equals sum_{k<N} C_k^2 / (N - 1) with C the running
+  sum of d: the distance is the normalised L2 gap between the two pignistic
+  CDFs, a discrete Cramer-von Mises statistic, computed in O(N) without
+  the matrix.
 
 All three are symmetric, nonnegative and zero on equal inputs; the two
 quadratic-form measures also satisfy the triangle inequality. The ranking
 measure is a pseudo-metric on BBAs: it is zero exactly when the two
 pignistic distributions coincide.
+
+Only ``correlation_matrix`` needs numpy, and imports it on first call.
 """
 
 from __future__ import annotations
@@ -23,13 +29,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from itertools import accumulate
+from operator import sub
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .core import Bba, FocalSet, focal_sort_key, mass_of
+from .core import Bba, FocalSet
 from .errors import FrameMismatchError, NumericalError, ValidationError
 from .pignistic import BetPMode, dif_betp, ppt
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Quadratic forms of positive semidefinite matrices are nonnegative;
 # anything below this is a fault, anything above but negative is rounding.
@@ -43,19 +52,18 @@ def jaccard_similarity(a: FocalSet, b: FocalSet) -> float:
     return (a.bits & b.bits).bit_count() / (a.bits | b.bits).bit_count()
 
 
-def _sqrt_half_quadratic(diff: np.ndarray, matrix: np.ndarray) -> float:
-    radicand = float(diff @ matrix @ diff)
+def _check_same_frame(m1: Bba, m2: Bba):
+    if m1.frame != m2.frame:
+        raise FrameMismatchError("BBAs are defined on different frames")
+
+
+def _sqrt_half_radicand(radicand: float) -> float:
+    """sqrt(radicand / 2) for a quadratic form d^T W d of a PSD matrix W."""
     if radicand < -RADICAND_TOLERANCE:
         raise NumericalError(
             f"quadratic form produced {radicand!r}; expected a nonnegative value"
         )
-    return math.sqrt(0.5 * max(radicand, 0.0))
-
-
-def _joint_focal_list(m1: Bba, m2: Bba) -> list[FocalSet]:
-    joint = {fs.bits: fs for fs, _ in m1.entries}
-    joint.update((fs.bits, fs) for fs, _ in m2.entries)
-    return sorted(joint.values(), key=focal_sort_key)
+    return math.sqrt(0.5 * radicand) if radicand > 0.0 else 0.0
 
 
 def jousselme_distance(m1: Bba, m2: Bba) -> float:
@@ -64,20 +72,28 @@ def jousselme_distance(m1: Bba, m2: Bba) -> float:
     Evaluated over the union of the two BBAs' focal sets rather than the
     full powerset basis: absent sets carry zero mass and cannot contribute
     to the form, so the result is identical and large frames stay cheap.
+    The symmetric form d^T W d is summed over its lower triangle as
+    sum_i d_i (d_i + 2 sum_{j<i} d_j W_ij).
     """
-    if m1.frame != m2.frame:
-        raise FrameMismatchError("BBAs are defined on different frames")
-    focal = _joint_focal_list(m1, m2)
-    v1 = np.array([mass_of(m1, fs) for fs in focal])
-    v2 = np.array([mass_of(m2, fs) for fs in focal])
-    weights = np.array(
-        [[jaccard_similarity(a, b) for b in focal] for a in focal]
-    )
-    return _sqrt_half_quadratic(v1 - v2, weights)
+    _check_same_frame(m1, m2)
+    masses1, masses2 = m1._by_bits, m2._by_bits
+    radicand = 0.0
+    seen: list[tuple[int, float]] = []
+    # The joint focal list, in one canonical order whichever BBA comes first.
+    for bits in sorted(masses1.keys() | masses2.keys()):
+        d = masses1.get(bits, 0.0) - masses2.get(bits, 0.0)
+        cross = 0.0
+        for other, d_other in seen:
+            cross += d_other * (bits & other).bit_count() / (bits | other).bit_count()
+        radicand += d * (d + 2.0 * cross)
+        seen.append((bits, d))
+    return _sqrt_half_radicand(radicand)
 
 
 @lru_cache(maxsize=None)
 def _correlation_matrix_cached(size: int) -> np.ndarray:
+    import numpy as np
+
     if size == 1:
         matrix = np.ones((1, 1))
     else:
@@ -94,16 +110,12 @@ def correlation_matrix(size: int) -> np.ndarray:
     maximal grade distance, and positive semidefinite. For a single-grade
     frame the 1x1 identity. Instances are cached per size and returned
     read-only; concurrent callers always see a fully constructed matrix.
+    This is the definition ``red_distance`` evaluates in closed form; it
+    is the only function of the package that imports numpy.
     """
     if size < 1:
         raise ValidationError("frame size must be at least 1")
     return _correlation_matrix_cached(int(size))
-
-
-def _pignistic_difference(m1: Bba, m2: Bba) -> np.ndarray:
-    if m1.frame != m2.frame:
-        raise FrameMismatchError("BBAs are defined on different frames")
-    return np.array(ppt(m1).probabilities) - np.array(ppt(m2).probabilities)
 
 
 def red_distance(m1: Bba, m2: Bba) -> float:
@@ -111,13 +123,21 @@ def red_distance(m1: Bba, m2: Bba) -> float:
 
     Both BBAs are pignistically transformed first, always; on singleton
     vectors the Jaccard weighting collapses to the identity and the grade
-    order enters solely through the correlation matrix. For categorical
-    BBAs on grades i and j this reduces to sqrt(|i - j| / (N - 1)), which
-    is what makes the measure strictly order-monotone where the other two
-    measures saturate.
+    order enters solely through the correlation matrix S. With d the
+    pignistic difference and C_k = d_1 + ... + d_k the gap between the two
+    pignistic CDFs at grade k, sqrt(1/2 d^T S d) equals
+    sqrt(sum_{k<N} C_k^2 / (N - 1)), which is how it is computed. For
+    categorical BBAs on grades i and j this reduces to
+    sqrt(|i - j| / (N - 1)), which is what makes the measure strictly
+    order-monotone where the other two measures saturate.
     """
-    diff = _pignistic_difference(m1, m2)
-    return _sqrt_half_quadratic(diff, correlation_matrix(m1.frame.size))
+    _check_same_frame(m1, m2)
+    size = m1.frame.size
+    if size == 1:
+        return 0.0
+    p1 = ppt(m1).probabilities[:-1]
+    p2 = ppt(m2).probabilities[:-1]
+    return math.sqrt(sum(c * c for c in accumulate(map(sub, p1, p2))) / (size - 1))
 
 
 def red_reduces_to_jousselme(m1: Bba, m2: Bba) -> tuple[float, float]:
@@ -129,9 +149,11 @@ def red_reduces_to_jousselme(m1: Bba, m2: Bba) -> tuple[float, float]:
     measure degenerates to Jousselme on pignistic masses, so the two
     components must agree to rounding.
     """
-    diff = _pignistic_difference(m1, m2)
-    with_identity = _sqrt_half_quadratic(diff, np.eye(m1.frame.size))
-    on_pignistic = jousselme_distance(ppt(m1).to_bba(), ppt(m2).to_bba())
+    _check_same_frame(m1, m2)
+    p1, p2 = ppt(m1), ppt(m2)
+    squares = sum((a - b) ** 2 for a, b in zip(p1.probabilities, p2.probabilities))
+    with_identity = math.sqrt(0.5 * squares)
+    on_pignistic = jousselme_distance(p1.to_bba(), p2.to_bba())
     return with_identity, on_pignistic
 
 

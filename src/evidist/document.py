@@ -71,16 +71,21 @@ def _parse_entry(entry, context: str):
     return members, float(mass)
 
 
+def _reject_constant(name: str):
+    raise DocumentError(f"syntax error: {name} is not valid JSON (numbers must be finite)")
+
+
 def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     """Parse document text into a validated frame plus named BBAs.
 
-    Syntax errors report line and column. Semantic errors (unknown label,
+    Syntax errors report line and column; the non-standard literals NaN,
+    Infinity and -Infinity are rejected. Semantic errors (unknown label,
     position out of range, mass-sum violation) name the offending BBA.
     With ``renormalize`` each BBA's masses are scaled to sum to one
     instead of being required to.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

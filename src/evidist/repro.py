@@ -16,7 +16,7 @@ Two report builders back the CLI's ``repro`` subcommands:
 from __future__ import annotations
 
 from .core import Bba, build_bba, build_frame
-from .distance import jousselme_distance, red_distance
+from .distance import DistanceMeasure, jousselme_distance, red_distance
 from .document import EvidenceDocument
 from .pignistic import BetPMode, dif_betp
 
@@ -85,14 +85,6 @@ def comparison_documents() -> dict[str, EvidenceDocument]:
     return documents
 
 
-def _measure_value(measure: str, m1: Bba, m2: Bba) -> float:
-    if measure == "jousselme":
-        return jousselme_distance(m1, m2)
-    if measure == "red":
-        return red_distance(m1, m2)
-    return dif_betp(m1, m2, BetPMode.ALL_SUBSETS)
-
-
 def comparison_rows() -> list[dict]:
     """One row per (case, pair, measure) cell, with reference and match flag."""
     documents = comparison_documents()
@@ -100,10 +92,9 @@ def comparison_rows() -> list[dict]:
     for case in COMPARISON_CASES:
         document = documents[case]
         for measure in COMPARISON_MEASURES:
+            evaluate = DistanceMeasure.parse(measure).evaluate
             for first, second in COMPARISON_PAIRS:
-                computed = _measure_value(
-                    measure, document.bba(first), document.bba(second)
-                )
+                computed = evaluate(document.bba(first), document.bba(second))
                 expected = COMPARISON_REFERENCE[(case, (first, second), measure)]
                 match = abs(round(computed, 4) - expected) <= DISPLAY_TOLERANCE + 1e-12
                 rows.append(

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,17 @@ class TestValidate:
         assert out == ""
         assert "'m'" in err
 
+    def test_nan_mass_exit_code(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"frame": ["A", "B"], "bbas": {"m": '
+            '[{"set": ["A"], "mass": 1.0}, {"set": ["B"], "mass": NaN}]}}'
+        )
+        code, out, err = cli("validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "NaN" in err
+
     def test_missing_file(self):
         code, _, err = cli("validate", "no-such-file.json")
         assert code == 2
@@ -235,3 +250,48 @@ class TestRepro:
         json_first = cli("--format", "json", "repro", "sweep")
         json_second = cli("--format", "json", "repro", "sweep")
         assert json_first == json_second
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+NO_NUMPY_SCRIPT = """
+import io, sys
+import evidist
+from evidist.cli import run_cli
+
+examples = sys.argv[1]
+sensors = examples + "/sensor_readings.json"
+grades = examples + "/grades_singletons.json"
+commands = [
+    ["validate", sensors],
+    ["combine", sensors, "--bbas", "gauge,probe"],
+    ["ppt", sensors, "--bba", "gauge"],
+    ["dist", grades, "--pair", "m1,m2", "--measure", "red"],
+    ["dist", grades, "--pair", "m1,m2", "--measure", "jousselme"],
+    ["dist", grades, "--pair", "m1,m2", "--measure", "betp"],
+    ["rank", grades, "--reference", "m1"],
+    ["repro", "examples"],
+    ["repro", "sweep"],
+]
+for argv in commands:
+    code = run_cli(argv, stdout=io.StringIO(), stderr=sys.stderr)
+    assert code == 0, (argv, code)
+assert "numpy" not in sys.modules, "numpy was imported"
+print("ok")
+"""
+
+
+def test_cli_commands_do_not_import_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, str(REPO / "docs" / "examples")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"

@@ -89,6 +89,25 @@ class TestCombineDempster:
         with pytest.raises(FrameMismatchError):
             combine_dempster(m1, m2)
 
+    def test_high_conflict_combines(self):
+        # k = (1 - eps)^2 is far from total conflict, but 1 - k computed
+        # from k keeps only about 8 significant digits: too few for the
+        # mass-sum check of the combined BBA.
+        eps = 1e-8
+        frame = make_frame(2)
+        m1 = build_bba(frame, [({1}, 1.0 - eps), ({1, 2}, eps)])
+        m2 = build_bba(frame, [({2}, 1.0 - eps), ({1, 2}, eps)])
+        combined = combine_dempster(m1, m2)
+        assert len(combined.entries) == 3
+        for members, expected in (
+            ({1}, (1 - eps) / (2 - eps)),
+            ({2}, (1 - eps) / (2 - eps)),
+            ({1, 2}, eps / (2 - eps)),
+        ):
+            assert mass_of(combined, frame.subset(members)) == pytest.approx(
+                expected, rel=1e-12
+            )
+
 
 @given(pair=bba_pairs(max_size=8, include_full=True))
 def test_commutativity(pair):

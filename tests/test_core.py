@@ -1,5 +1,6 @@
 """Frame, focal set, and BBA construction and validation."""
 
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import bba_pairs, make_frame, random_bba
 from evidist.combination import combine_dempster
 from evidist.core import (
     MASS_SUM_TOLERANCE,
+    FocalSet,
     build_bba,
     build_frame,
     mass_of,
@@ -76,6 +78,14 @@ class TestFocalSet:
         frame = build_frame(GRADES)
         assert frame.subset(["Poor"]) == frame.subset([1])
 
+    @given(data=st.data())
+    def test_members_are_the_set_bits(self, data):
+        size = data.draw(st.integers(1, 64))
+        bits = data.draw(st.integers(1, (1 << size) - 1))
+        focal_set = FocalSet(make_frame(size), bits)
+        expected = tuple(i + 1 for i in range(size) if bits >> i & 1)
+        assert focal_set.members == expected
+
 
 class TestBuildBba:
     def test_categorical(self):
@@ -105,6 +115,14 @@ class TestBuildBba:
         frame = build_frame(GRADES)
         with pytest.raises(ValidationError, match="nonnegative"):
             build_bba(frame, [({1}, 1.2), ({2}, -0.2)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        # NaN fails every comparison, so a sign check alone would let it
+        # through to be dropped like a zero mass, leaving {Poor}: 1.
+        frame = build_frame(GRADES)
+        with pytest.raises(ValidationError, match=r"finite.*\{Low\}"):
+            build_bba(frame, [({1}, 1.0), ({2}, bad)])
 
     def test_zero_mass_entries_drop(self):
         frame = build_frame(GRADES)

@@ -112,16 +112,16 @@ def test_jousselme_joint_list_equals_full_basis():
 
 class TestQuadraticFormGuard:
     def test_tiny_negative_radicand_clamps_to_zero(self):
-        from evidist.distance import _sqrt_half_quadratic
+        from evidist.distance import _sqrt_half_radicand
 
-        assert _sqrt_half_quadratic(np.array([1.0]), np.array([[-1e-13]])) == 0.0
+        assert _sqrt_half_radicand(-1e-13) == 0.0
 
     def test_large_negative_radicand_is_a_fault(self):
-        from evidist.distance import _sqrt_half_quadratic
+        from evidist.distance import _sqrt_half_radicand
         from evidist.errors import NumericalError
 
         with pytest.raises(NumericalError):
-            _sqrt_half_quadratic(np.array([1.0]), np.array([[-1.0]]))
+            _sqrt_half_radicand(-1.0)
 
 
 class TestCorrelationMatrix:
@@ -248,6 +248,15 @@ class TestRedDistance:
         gaps = np.abs(positions[:, None] - positions[None, :])
         via_identity = -float(d @ gaps @ d) / (size - 1) if size > 1 else 0.0
         assert direct == pytest.approx(via_identity, abs=1e-10)
+
+    @given(pair=bba_pairs(min_size=1, max_size=64))
+    def test_closed_form_equals_matrix_form(self, pair):
+        # The definition: sqrt(1/2 d^T S d) on the pignistic difference d.
+        m1, m2 = pair
+        d = np.array(ppt(m1).probabilities) - np.array(ppt(m2).probabilities)
+        radicand = float(d @ correlation_matrix(m1.frame.size) @ d)
+        matrix_form = math.sqrt(0.5 * max(radicand, 0.0))
+        assert red_distance(m1, m2) == pytest.approx(matrix_form, abs=1e-12)
 
     @given(pair=bba_pairs(max_size=10))
     def test_zero_iff_equal_pignistic(self, pair):

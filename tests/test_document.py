@@ -87,6 +87,10 @@ def test_syntax_error_reports_position():
         ('{"frame": ["A"], "bbas": {"m": [{"set": [true], "mass": 1.0}]}}', "members"),
         ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": "1"}]}}', "number"),
         ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": -1.0}]}}', "'m'"),
+        ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": NaN}]}}', "NaN"),
+        ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": Infinity}]}}', "Infinity"),
+        ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": -Infinity}]}}', "-Infinity"),
+        ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": 1e999}]}}', "'m'.*finite"),
     ],
 )
 def test_rejected_documents(text, fragment):
