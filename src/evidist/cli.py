@@ -18,10 +18,9 @@ from typing import IO, Optional, Sequence
 
 from . import repro
 from .combination import combine_all
-from .core import FocalSet
 from .distance import DistanceMeasure
 from .document import EvidenceDocument, parse_document
-from .errors import EvidenceError, ValidationError
+from .errors import DocumentError, EvidenceError, ValidationError
 from .pignistic import ppt
 from .ranking import rank_by_distance
 
@@ -89,7 +88,13 @@ def _build_parser() -> _Parser:
 
 
 def _load_document(path: str) -> EvidenceDocument:
-    return parse_document(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start})"
+        ) from None
+    return parse_document(text)
 
 
 def _split_names(raw: str, *, minimum: int, flag: str) -> list[str]:
@@ -104,10 +109,6 @@ def _parse_measure(raw: str) -> DistanceMeasure:
         return DistanceMeasure.parse(raw)
     except ValidationError as exc:
         raise _UsageError(str(exc)) from exc
-
-
-def _render_set(focal_set: FocalSet) -> str:
-    return "{" + ",".join(focal_set.labels) + "}"
 
 
 def _cmd_validate(args):
@@ -128,7 +129,7 @@ def _cmd_combine(args):
     names = _split_names(args.bbas, minimum=2, flag="--bbas")
     combined = combine_all(document.bba(name) for name in names)
     rows = [
-        {"set": _render_set(fs), "mass": mass} for fs, mass in combined.entries
+        {"set": repr(fs), "mass": mass} for fs, mass in combined.entries
     ]
     return ["set", "mass"], rows
 

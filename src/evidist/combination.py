@@ -5,43 +5,16 @@ from __future__ import annotations
 from functools import reduce
 from typing import Iterable
 
-from .core import Bba, FocalSet, build_bba
-from .errors import FrameMismatchError, TotalConflictError, ValidationError
+from .core import MASS_SUM_TOLERANCE, Bba, FocalSet, _check_same_frame, build_bba
+from .errors import TotalConflictError, ValidationError
 
 # 1 - k below this margin would divide the combined masses by a denormal.
 CONFLICT_TOLERANCE = 1e-12
 
 
-def _check_same_frame(m1: Bba, m2: Bba):
-    if m1.frame != m2.frame:
-        raise FrameMismatchError("BBAs are defined on different frames")
-
-
-def conflict(m1: Bba, m2: Bba) -> float:
-    """Conflict coefficient k: total mass the two sources put on disjoint pairs.
-
-    k is 0 when every focal pair intersects (e.g. against the vacuous BBA)
-    and 1 when no focal pair does, in which case combination is undefined.
-    """
-    _check_same_frame(m1, m2)
-    k = 0.0
-    for a, mass_a in m1.entries:
-        for b, mass_b in m2.entries:
-            if not a.bits & b.bits:
-                k += mass_a * mass_b
-    return min(k, 1.0)
-
-
-def combine_dempster(m1: Bba, m2: Bba) -> Bba:
-    """Orthogonal sum of two BBAs.
-
-    Mass products of intersecting focal pairs accumulate on the
-    intersection and, when any pair conflicts, are renormalized by their
-    total. That total equals 1 - k but does not lose precision to the
-    cancellation in 1 - k when the conflict is high. Raises TotalConflictError when k is 1 within
-    CONFLICT_TOLERANCE: the orthogonal sum does not exist for fully
-    contradicting sources.
-    """
+def _focal_products(m1: Bba, m2: Bba) -> tuple[dict[int, float], float]:
+    """Mass products of every focal pair: summed per non-empty intersection
+    (keyed by its bits), and the conflict k summed over disjoint pairs."""
     _check_same_frame(m1, m2)
     accumulated: dict[int, float] = {}
     k = 0.0
@@ -54,20 +27,47 @@ def combine_dempster(m1: Bba, m2: Bba) -> Bba:
                 )
             else:
                 k += mass_a * mass_b
-    if k >= 1.0 - CONFLICT_TOLERANCE:
+    return accumulated, k
+
+
+def conflict(m1: Bba, m2: Bba) -> float:
+    """Conflict coefficient k: total mass the two sources put on disjoint pairs.
+
+    k is 0 when every focal pair intersects (e.g. against the vacuous BBA)
+    and 1 when no focal pair does, in which case combination is undefined.
+    """
+    return min(_focal_products(m1, m2)[1], 1.0)
+
+
+def combine_dempster(m1: Bba, m2: Bba) -> Bba:
+    """Orthogonal sum of two BBAs.
+
+    Mass products of intersecting focal pairs accumulate on the
+    intersection and are renormalized by their total. That total equals
+    1 - k but does not lose precision to the cancellation in 1 - k when
+    the conflict is high. Raises TotalConflictError when the conflicting
+    share k / (k + total) of all products is 1 within CONFLICT_TOLERANCE:
+    the orthogonal sum does not exist for fully contradicting sources.
+    The share is k itself when both mass sums are exactly one.
+    """
+    accumulated, k = _focal_products(m1, m2)
+    total = sum(accumulated.values())
+    if total <= CONFLICT_TOLERANCE * (k + total):
         raise TotalConflictError(
             f"total conflict between sources (k = {k!r}); orthogonal sum undefined"
         )
-    # Without conflict the products already sum to one; dividing by their
-    # rounded total would only perturb the last bits (and break the exact
-    # identity of combining with the vacuous BBA).
-    norm = sum(accumulated.values()) if k else 1.0
+    # Without conflict the products sum to (sum m1) * (sum m2), which two
+    # valid inputs can put up to twice the mass-sum tolerance from one.
+    # Within half the tolerance they stay undivided: dividing would only
+    # perturb the last bits (and break the exact identity of combining
+    # with the vacuous BBA), and Bba re-summing them in another order
+    # cannot take them past the tolerance.
+    if not k and abs(total - 1.0) <= 0.5 * MASS_SUM_TOLERANCE:
+        total = 1.0
+    frame = m1.frame
     return build_bba(
-        m1.frame,
-        [
-            (FocalSet(m1.frame, bits), mass / norm)
-            for bits, mass in accumulated.items()
-        ],
+        frame,
+        [(FocalSet(frame, bits), mass / total) for bits, mass in accumulated.items()],
     )
 
 

@@ -184,6 +184,11 @@ class Bba:
         return f"Bba({body})"
 
 
+def _check_same_frame(m1: Bba, m2: Bba):
+    if m1.frame != m2.frame:
+        raise FrameMismatchError("BBAs are defined on different frames")
+
+
 def build_frame(labels: Iterable[str]) -> Frame:
     """Build a frame whose grade order is the given label order."""
     return Frame(tuple(labels))
@@ -208,7 +213,9 @@ def build_bba(
     """
     if isinstance(entries, Mapping):
         entries = entries.items()
-    merged: dict[int, float] = {}
+    # [first FocalSet seen, summed mass] per bitmask. Keyed by the int:
+    # hashing a FocalSet would hash its frame's labels on every entry.
+    merged: dict[int, list] = {}
     for set_like, mass in entries:
         focal_set = set_like if isinstance(set_like, FocalSet) else frame.subset(set_like)
         if focal_set.frame != frame:
@@ -224,17 +231,14 @@ def build_bba(
             raise ValidationError(
                 f"focal masses must be nonnegative, got {mass!r} on {focal_set!r}"
             )
-        merged[focal_set.bits] = merged.get(focal_set.bits, 0.0) + mass
-    positive = {bits: mass for bits, mass in merged.items() if mass > 0.0}
+        merged.setdefault(focal_set.bits, [focal_set, 0.0])[1] += mass
+    positive = [(fs, mass) for fs, mass in merged.values() if mass > 0.0]
     if renormalize:
-        total = sum(positive.values())
+        total = sum(mass for _, mass in positive)
         if total <= 0.0:
             raise ValidationError("cannot renormalize: total mass is zero")
-        positive = {bits: mass / total for bits, mass in positive.items()}
-    return Bba(
-        frame,
-        tuple((FocalSet(frame, bits), mass) for bits, mass in positive.items()),
-    )
+        positive = [(fs, mass / total) for fs, mass in positive]
+    return Bba(frame, tuple(positive))
 
 
 def vacuous_bba(frame: Frame) -> Bba:

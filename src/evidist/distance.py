@@ -33,7 +33,7 @@ from itertools import accumulate
 from operator import sub
 from typing import TYPE_CHECKING, Optional
 
-from .core import Bba, FocalSet
+from .core import Bba, FocalSet, _check_same_frame
 from .errors import FrameMismatchError, NumericalError, ValidationError
 from .pignistic import BetPMode, dif_betp, ppt
 
@@ -50,11 +50,6 @@ def jaccard_similarity(a: FocalSet, b: FocalSet) -> float:
     if a.frame != b.frame:
         raise FrameMismatchError("focal sets belong to different frames")
     return (a.bits & b.bits).bit_count() / (a.bits | b.bits).bit_count()
-
-
-def _check_same_frame(m1: Bba, m2: Bba):
-    if m1.frame != m2.frame:
-        raise FrameMismatchError("BBAs are defined on different frames")
 
 
 def _sqrt_half_radicand(radicand: float) -> float:
@@ -91,18 +86,6 @@ def jousselme_distance(m1: Bba, m2: Bba) -> float:
 
 
 @lru_cache(maxsize=None)
-def _correlation_matrix_cached(size: int) -> np.ndarray:
-    import numpy as np
-
-    if size == 1:
-        matrix = np.ones((1, 1))
-    else:
-        positions = np.arange(size)
-        matrix = 1.0 - np.abs(positions[:, None] - positions[None, :]) / (size - 1)
-    matrix.flags.writeable = False
-    return matrix
-
-
 def correlation_matrix(size: int) -> np.ndarray:
     """Grade-closeness matrix S with entries 1 - |i - j| / (N - 1).
 
@@ -115,7 +98,15 @@ def correlation_matrix(size: int) -> np.ndarray:
     """
     if size < 1:
         raise ValidationError("frame size must be at least 1")
-    return _correlation_matrix_cached(int(size))
+    import numpy as np
+
+    if size == 1:
+        matrix = np.ones((1, 1))
+    else:
+        positions = np.arange(size)
+        matrix = 1.0 - np.abs(positions[:, None] - positions[None, :]) / (size - 1)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def red_distance(m1: Bba, m2: Bba) -> float:

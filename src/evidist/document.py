@@ -68,28 +68,52 @@ def _parse_entry(entry, context: str):
     mass = entry["mass"]
     if isinstance(mass, bool) or not isinstance(mass, (int, float)):
         raise DocumentError(f"{context}: 'mass' must be a number, got {mass!r}")
-    return members, float(mass)
+    try:
+        return members, float(mass)
+    except OverflowError:
+        raise DocumentError(f"{context}: 'mass' is too large for a float") from None
 
 
 def _reject_constant(name: str):
     raise DocumentError(f"syntax error: {name} is not valid JSON (numbers must be finite)")
 
 
+def _reject_duplicate_keys(pairs: list) -> dict:
+    mapping = dict(pairs)
+    if len(mapping) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError(f"duplicate key {key!r}")
+            seen.add(key)
+    return mapping
+
+
 def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     """Parse document text into a validated frame plus named BBAs.
 
     Syntax errors report line and column; the non-standard literals NaN,
-    Infinity and -Infinity are rejected. Semantic errors (unknown label,
-    position out of range, mass-sum violation) name the offending BBA.
-    With ``renormalize`` each BBA's masses are scaled to sum to one
-    instead of being required to.
+    Infinity and -Infinity, repeated keys in one object, nesting deeper
+    than the interpreter's recursion limit and integers longer than its
+    digit limit are rejected. Semantic errors (unknown label, position out
+    of range, mass-sum violation) name the offending BBA. With
+    ``renormalize`` each BBA's masses are scaled to sum to one instead of
+    being required to.
     """
     try:
-        raw = json.loads(text, parse_constant=_reject_constant)
+        raw = json.loads(
+            text,
+            parse_constant=_reject_constant,
+            object_pairs_hook=_reject_duplicate_keys,
+        )
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise DocumentError("syntax error: the document nests too deeply") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise DocumentError("syntax error: an integer has too many digits") from None
     _require_keys(raw, ("frame", "bbas"), "document")
     labels = raw["frame"]
     if not isinstance(labels, list):

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import MASS_SUM_TOLERANCE, Bba, FocalSet, Frame, build_bba
-from .errors import FrameMismatchError, ValidationError
+from .core import Bba, FocalSet, Frame, _check_same_frame, build_bba
+from .errors import FrameMismatchError
 
 
 class BetPMode(Enum):
@@ -31,24 +31,14 @@ class BetPMode(Enum):
 
 @dataclass(frozen=True)
 class PignisticDistribution:
-    """Probability over a frame's grades, indexed by 1-based position."""
+    """Probability over a frame's grades, indexed by 1-based position.
+
+    This is ``ppt``'s result. It is a distribution because the BBA it
+    came from is one, so it is not checked again here.
+    """
 
     frame: Frame
     probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.probabilities) != self.frame.size:
-            raise ValidationError(
-                f"expected {self.frame.size} probabilities, got {len(self.probabilities)}"
-            )
-        for p in self.probabilities:
-            if not -1e-12 <= p <= 1.0 + MASS_SUM_TOLERANCE:
-                raise ValidationError(f"probability {p!r} outside [0, 1]")
-        total = sum(self.probabilities)
-        if abs(total - 1.0) > MASS_SUM_TOLERANCE:
-            raise ValidationError(
-                f"probabilities sum to {total!r}, expected 1 within {MASS_SUM_TOLERANCE}"
-            )
 
     def to_bba(self) -> Bba:
         """The BBA carrying this distribution on singleton focal sets."""
@@ -93,8 +83,7 @@ def dif_betp(m1: Bba, m2: Bba, mode: BetPMode = BetPMode.ALL_SUBSETS) -> float:
     difference (their total variation). The other modes scan only the
     stated subsets.
     """
-    if m1.frame != m2.frame:
-        raise FrameMismatchError("BBAs are defined on different frames")
+    _check_same_frame(m1, m2)
     p1 = ppt(m1).probabilities
     p2 = ppt(m2).probabilities
     diff = [a - b for a, b in zip(p1, p2)]

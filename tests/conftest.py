@@ -7,9 +7,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from evidist.core import Bba, FocalSet, Frame, build_bba, build_frame
+from evidist.errors import ValidationError
 
 
 def brute_force_max_gap(diff) -> float:
@@ -92,6 +94,38 @@ def bba_triples(draw, min_size=2, max_size=8, include_full=False):
     return tuple(
         draw(bbas_on(frame, include_full=include_full)) for _ in range(3)
     )
+
+
+# "m" passes the mass-sum check, but splitting its masses over the members
+# rounds the pignistic sum to 1.000000001, just past the tolerance.
+EDGE_SUM_DOCUMENT = """\
+{"frame": ["A", "B", "C", "D", "E", "F", "G"],
+ "bbas": {"m": [{"set": ["A", "B", "C", "D", "E", "F"], "mass": 0.06},
+                {"set": ["A", "B", "C", "E", "F", "G"], "mass": 0.17},
+                {"set": ["A", "B", "E", "G"], "mass": 0.770000001}],
+          "r": [{"set": ["D"], "mass": 1.0}]}}
+"""
+
+
+@st.composite
+def bbas_off_unit_sum(draw, frame: Frame, max_focal: int = 6):
+    """A BBA whose masses are scaled to sum to 1 + offset with |offset| at
+    most the mass-sum tolerance, often at its edge; drawn again when
+    rounding takes the sum past what build_bba accepts."""
+    space = (1 << frame.size) - 1
+    bits = draw(st.lists(st.integers(1, space), min_size=1, max_size=max_focal, unique=True))
+    weights = [draw(st.integers(1, 100)) for _ in bits]
+    offset = draw(
+        st.one_of(
+            st.sampled_from((-1e-9, -0.99e-9, 0.99e-9, 1e-9)),
+            st.floats(-0.99e-9, 0.99e-9),
+        )
+    )
+    scale = (1.0 + offset) / sum(weights)
+    try:
+        return build_bba(frame, [(FocalSet(frame, b), w * scale) for b, w in zip(bits, weights)])
+    except ValidationError:
+        assume(False)
 
 
 SWEEP_FRAME_SIZE = 20

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import EDGE_SUM_DOCUMENT
 from evidist.cli import run_cli
 
 SINGLETONS = """\
@@ -177,6 +178,25 @@ class TestValidate:
         assert out == ""
         assert "NaN" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": 1.0}],'
+            b' "m": [{"set": ["A"], "mass": 1.0}]}}',
+            b"[" * 100_000,
+            b'{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": ' + b"1" * 400 + b"}]}}",
+            b'{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": ' + b"1" * 5000 + b"}]}}",
+            b"\xff\xfe{}",
+        ],
+        ids=["duplicate-key", "deep-nesting", "400-digit-mass", "5000-digit-integer", "not-utf-8"],
+    )
+    def test_undecodable_document_exit_code(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = cli("validate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("evidist: ") and err.count("\n") == 1
+
     def test_missing_file(self):
         code, _, err = cli("validate", "no-such-file.json")
         assert code == 2
@@ -295,3 +315,22 @@ def test_cli_commands_do_not_import_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ppt", "--bba", "m"],
+        ["dist", "--pair", "m,r", "--measure", "red"],
+        ["rank", "--reference", "r", "--measure", "betp"],
+    ],
+    ids=["ppt", "dist-red", "rank-betp"],
+)
+def test_mass_sum_at_tolerance_edge(tmp_path, argv):
+    # "m" is valid, but its pignistic probabilities round to a sum just
+    # past the mass-sum tolerance.
+    path = tmp_path / "edge.json"
+    path.write_text(EDGE_SUM_DOCUMENT, encoding="utf-8")
+    code, out, err = cli(argv[0], str(path), *argv[1:])
+    assert (code, err) == (0, "")
+    assert out

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 from conftest import bba_pairs, bba_triples, make_frame, random_bba
 from evidist.combination import combine_all, combine_dempster, conflict
-from evidist.core import build_bba, mass_of, vacuous_bba
+from evidist.core import build_bba, build_frame, mass_of, vacuous_bba
 from evidist.errors import FrameMismatchError, TotalConflictError, ValidationError
 
 
@@ -107,6 +107,43 @@ class TestCombineDempster:
             assert mass_of(combined, frame.subset(members)) == pytest.approx(
                 expected, rel=1e-12
             )
+
+    def test_inputs_off_unit_sum_combine(self):
+        # Both inputs sum to 1 + 9e-10, inside the tolerance, and nothing
+        # conflicts; their products sum to about 1 + 1.8e-9, outside it.
+        frame = build_frame(["a", "b", "c"])
+        m1 = build_bba(frame, [(["a"], 0.3), (["a", "b"], 0.7000000009)])
+        m2 = build_bba(frame, [(["a", "b"], 0.4), (["a", "b", "c"], 0.6000000009)])
+        combined = combine_dempster(m1, m2)
+        for members, expected in (
+            (["a"], 0.3 / 1.0000000009),
+            (["a", "b"], 0.7000000009 / 1.0000000009),
+        ):
+            assert mass_of(combined, frame.subset(members)) == pytest.approx(
+                expected, rel=1e-12
+            )
+
+    def test_products_at_tolerance_edge_combine(self):
+        # No pair conflicts and the products sum to 1 - 1e-9 in the order
+        # they accumulate, but to 0.9999999989999999 in canonical order.
+        frame = make_frame(4)
+        m1 = build_bba(
+            frame,
+            [({2}, 0.45806451612903226), ({2, 3}, 0.535483870967742),
+             ({1, 2, 4}, 0.0064516129032258064)],
+        )
+        m2 = build_bba(frame, [({1, 2}, 0.4999999995), ({2, 3}, 0.4999999995)])
+        combined = combine_dempster(m1, m2)
+        assert sum(mass for _, mass in combined.entries) == pytest.approx(1.0, abs=1e-15)
+
+    def test_disjoint_inputs_under_unit_sum_totally_conflict(self):
+        # Every pair is disjoint, but with both sums 1 - 1e-9 the product
+        # k = 1 - 2e-9 alone is not 1 within the conflict tolerance.
+        frame = make_frame(2)
+        m1 = build_bba(frame, [({1}, 0.999999999)])
+        m2 = build_bba(frame, [({2}, 0.999999999)])
+        with pytest.raises(TotalConflictError):
+            combine_dempster(m1, m2)
 
 
 @given(pair=bba_pairs(max_size=8, include_full=True))

@@ -91,6 +91,33 @@ def test_syntax_error_reports_position():
         ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": Infinity}]}}', "Infinity"),
         ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": -Infinity}]}}', "-Infinity"),
         ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": 1e999}]}}', "'m'.*finite"),
+        pytest.param(
+            '{"frame": ["A"], "frame": ["B"], "bbas": {}}',
+            "duplicate key 'frame'",
+            id="duplicate-top-level-key",
+        ),
+        pytest.param(
+            '{"frame": ["A", "B"], "bbas": {"m": [{"set": ["A"], "mass": 1.0}],'
+            ' "m": [{"set": ["B"], "mass": 1.0}]}}',
+            "duplicate key 'm'",
+            id="duplicate-bba-name",
+        ),
+        pytest.param(
+            '{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": 0.5, "mass": 1.0}]}}',
+            "duplicate key 'mass'",
+            id="duplicate-entry-key",
+        ),
+        pytest.param("[" * 100_000, "nests too deeply", id="deep-nesting"),
+        pytest.param(
+            '{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": %s}]}}' % ("1" * 400),
+            "'m', entry 1.*too large for a float",
+            id="400-digit-mass",
+        ),
+        pytest.param(
+            '{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": %s}]}}' % ("1" * 5000),
+            "too many digits",
+            id="5000-digit-integer",
+        ),
     ],
 )
 def test_rejected_documents(text, fragment):

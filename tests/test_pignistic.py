@@ -7,9 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bba_pairs, bbas_on, brute_force_max_gap, make_frame
+from conftest import (
+    EDGE_SUM_DOCUMENT,
+    bba_pairs,
+    bbas_off_unit_sum,
+    bbas_on,
+    brute_force_max_gap,
+    make_frame,
+)
+from evidist.combination import combine_dempster
 from evidist.core import build_bba, build_frame, vacuous_bba
-from evidist.errors import FrameMismatchError
+from evidist.distance import red_distance
+from evidist.document import parse_document
+from evidist.errors import FrameMismatchError, TotalConflictError
 from evidist.pignistic import BetPMode, betp_of_subset, dif_betp, ppt
 from evidist.repro import sweep_bbas
 
@@ -189,3 +199,37 @@ class TestSweepBenchmarkPair:
         fast = dif_betp(m1, m2, BetPMode.ALL_SUBSETS)
         assert fast == pytest.approx(brute, abs=1e-12)
         assert fast == pytest.approx(0.730, abs=5e-4)
+
+
+class TestMassSumAtTolerance:
+    """A BBA is valid when its masses sum to 1 within the tolerance; what is
+    computed from it must not be re-checked against the same tolerance,
+    which rounding in the computation can cross."""
+
+    def test_edge_sum_document(self):
+        document = parse_document(EDGE_SUM_DOCUMENT)
+        m, r = document.bba("m"), document.bba("r")
+        shared = 0.06 / 6 + 0.17 / 6  # A..F and A..C,E..G
+        outer = shared + 0.770000001 / 4  # A, B, E and G
+        assert ppt(m).probabilities == pytest.approx(
+            (outer, outer, shared, 0.06 / 6, outer, shared, outer - 0.06 / 6),
+            abs=1e-15,
+        )
+        assert red_distance(m, r) == pytest.approx(0.3813, abs=1e-4)
+        for mode in BetPMode:
+            assert 0.0 <= dif_betp(m, r, mode) <= 1.0
+
+    @given(size=st.integers(1, 8), data=st.data())
+    def test_nothing_computed_fails_validation(self, size, data):
+        frame = make_frame(size)
+        m1 = data.draw(bbas_off_unit_sum(frame))
+        m2 = data.draw(bbas_off_unit_sum(frame))
+        ppt(m1)
+        ppt(m2)
+        red_distance(m1, m2)
+        for mode in BetPMode:
+            dif_betp(m1, m2, mode)
+        try:
+            combine_dempster(m1, m2)
+        except TotalConflictError:
+            pass
