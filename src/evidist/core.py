@@ -19,6 +19,7 @@ MAX_FRAME_SIZE = 64
 MASS_SUM_TOLERANCE = 1e-9
 
 Member = Union[str, int]
+_TABLE_TYPES = frozenset((str, int))
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,8 @@ class Frame:
 
     The label order is semantic: the position distance between two grades
     is what the order-aware distance measure feeds on. Positions are
-    1-based.
+    1-based. Labels may not contain ',', '{' or '}', the characters a
+    focal set's display uses.
     """
 
     labels: tuple[str, ...]
@@ -42,12 +44,19 @@ class Frame:
         for label in self.labels:
             if not isinstance(label, str):
                 raise ValidationError(f"labels must be strings, got {label!r}")
+            if "," in label or "{" in label or "}" in label:
+                raise ValidationError(
+                    f"label {label!r} contains ',', '{{' or '}}', "
+                    "which would make set displays ambiguous"
+                )
         if len(set(self.labels)) != len(self.labels):
             dupes = sorted({x for x in self.labels if self.labels.count(x) > 1})
             raise ValidationError("duplicate labels: " + ", ".join(dupes))
-        object.__setattr__(
-            self, "_positions", {x: i + 1 for i, x in enumerate(self.labels)}
-        )
+        # Each label and each 1-based position to its bit. A str key never
+        # equals an int key, so the two spellings share one table.
+        bits = {x: 1 << i for i, x in enumerate(self.labels)}
+        bits.update((i + 1, 1 << i) for i in range(len(self.labels)))
+        object.__setattr__(self, "_bits", bits)
 
     @property
     def size(self) -> int:
@@ -58,10 +67,10 @@ class Frame:
         if isinstance(member, bool):
             raise ValidationError(f"invalid frame member {member!r}")
         if isinstance(member, str):
-            position = self._positions.get(member)
-            if position is None:
+            bit = self._bits.get(member)
+            if bit is None:
                 raise ValidationError(f"unknown label {member!r}")
-            return position
+            return bit.bit_length()
         if isinstance(member, int):
             if not 1 <= member <= self.size:
                 raise ValidationError(
@@ -77,9 +86,15 @@ class Frame:
 
     def subset(self, members: Iterable[Member]) -> FocalSet:
         """Build a focal set from labels and/or 1-based positions."""
+        table = self._bits
         bits = 0
         for member in members:
-            bits |= 1 << (self.index_of(member) - 1)
+            # Only an exact str or int may use the table: True and 1.0 hash
+            # like 1, and index_of must reject them with its own message.
+            bit = table.get(member) if type(member) in _TABLE_TYPES else None
+            if bit is None:
+                bit = 1 << (self.index_of(member) - 1)
+            bits |= bit
         return FocalSet(self, bits)
 
     def singleton(self, member: Member) -> FocalSet:
@@ -134,7 +149,7 @@ class FocalSet:
 
 def focal_sort_key(focal_set: FocalSet) -> tuple[int, tuple[int, ...]]:
     """Canonical display and storage order: by cardinality, then members."""
-    return (len(focal_set), focal_set.members)
+    return (focal_set.bits.bit_count(), focal_set.members)
 
 
 @dataclass(frozen=True)
@@ -152,10 +167,11 @@ class Bba:
     def __post_init__(self):
         ordered = tuple(sorted(self.entries, key=lambda e: focal_sort_key(e[0])))
         object.__setattr__(self, "entries", ordered)
+        frame = self.frame
         total = 0.0
-        seen = set()
+        by_bits: dict[int, float] = {}
         for focal_set, mass in ordered:
-            if focal_set.frame != self.frame:
+            if focal_set.frame is not frame and focal_set.frame != frame:
                 raise FrameMismatchError(
                     f"focal set {focal_set!r} belongs to a different frame"
                 )
@@ -163,17 +179,15 @@ class Bba:
                 raise ValidationError(
                     f"focal masses must be positive, got {mass!r} on {focal_set!r}"
                 )
-            if focal_set.bits in seen:
+            if focal_set.bits in by_bits:
                 raise ValidationError(f"duplicate focal set {focal_set!r}")
-            seen.add(focal_set.bits)
+            by_bits[focal_set.bits] = mass
             total += mass
         if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise ValidationError(
                 f"masses sum to {total!r}, expected 1 within {MASS_SUM_TOLERANCE}"
             )
-        object.__setattr__(
-            self, "_by_bits", {fs.bits: mass for fs, mass in ordered}
-        )
+        object.__setattr__(self, "_by_bits", by_bits)
 
     @property
     def focal_sets(self) -> tuple[FocalSet, ...]:
@@ -185,7 +199,8 @@ class Bba:
 
 
 def _check_same_frame(m1: Bba, m2: Bba):
-    if m1.frame != m2.frame:
+    # Identity first: comparing two frames field by field is a Python call.
+    if m1.frame is not m2.frame and m1.frame != m2.frame:
         raise FrameMismatchError("BBAs are defined on different frames")
 
 
@@ -217,11 +232,14 @@ def build_bba(
     # hashing a FocalSet would hash its frame's labels on every entry.
     merged: dict[int, list] = {}
     for set_like, mass in entries:
-        focal_set = set_like if isinstance(set_like, FocalSet) else frame.subset(set_like)
-        if focal_set.frame != frame:
-            raise FrameMismatchError(
-                f"focal set {focal_set!r} belongs to a different frame"
-            )
+        if isinstance(set_like, FocalSet):
+            focal_set = set_like
+            if focal_set.frame is not frame and focal_set.frame != frame:
+                raise FrameMismatchError(
+                    f"focal set {focal_set!r} belongs to a different frame"
+                )
+        else:  # on ``frame`` by construction
+            focal_set = frame.subset(set_like)
         mass = float(mass)
         if not math.isfinite(mass):
             raise ValidationError(

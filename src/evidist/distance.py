@@ -27,15 +27,16 @@ Only ``correlation_matrix`` needs numpy, and imports it on first call.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from operator import sub
 from typing import TYPE_CHECKING, Optional
 
 from .core import Bba, FocalSet, _check_same_frame
 from .errors import FrameMismatchError, NumericalError, ValidationError
-from .pignistic import BetPMode, dif_betp, ppt
+from .pignistic import BetPMode, _betp_against, ppt
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,13 +123,23 @@ def red_distance(m1: Bba, m2: Bba) -> float:
     sqrt(|i - j| / (N - 1)), which is what makes the measure strictly
     order-monotone where the other two measures saturate.
     """
-    _check_same_frame(m1, m2)
-    size = m1.frame.size
-    if size == 1:
-        return 0.0
-    p1 = ppt(m1).probabilities[:-1]
-    p2 = ppt(m2).probabilities[:-1]
-    return math.sqrt(sum(c * c for c in accumulate(map(sub, p1, p2))) / (size - 1))
+    return _red_against(m1)(m2)
+
+
+def _red_against(reference: Bba) -> Callable[[Bba], float]:
+    """``red_distance(reference, candidate)`` as a function of the
+    candidate, with the reference transformed once."""
+    size = reference.frame.size
+    p1 = ppt(reference).probabilities[:-1]
+
+    def score(candidate: Bba) -> float:
+        _check_same_frame(reference, candidate)
+        if size == 1:
+            return 0.0
+        p2 = ppt(candidate).probabilities[:-1]
+        return math.sqrt(sum(c * c for c in accumulate(map(sub, p1, p2))) / (size - 1))
+
+    return score
 
 
 def red_reduces_to_jousselme(m1: Bba, m2: Bba) -> tuple[float, float]:
@@ -191,9 +202,17 @@ class DistanceMeasure:
             return f"betp:{self.mode.value}"
         return self.kind
 
-    def evaluate(self, m1: Bba, m2: Bba) -> float:
+    def against(self, reference: Bba) -> Callable[[Bba], float]:
+        """The distance from ``reference`` as a function of one candidate.
+
+        Work that depends on the reference alone, such as its pignistic
+        transform, is done here once rather than once per candidate.
+        """
         if self.kind == "jousselme":
-            return jousselme_distance(m1, m2)
+            return partial(jousselme_distance, reference)
         if self.kind == "red":
-            return red_distance(m1, m2)
-        return dif_betp(m1, m2, self.mode)
+            return _red_against(reference)
+        return _betp_against(reference, self.mode)
+
+    def evaluate(self, m1: Bba, m2: Bba) -> float:
+        return self.against(m1)(m2)

@@ -26,15 +26,17 @@ from .core import Bba, Frame, build_bba, build_frame
 from .errors import DocumentError, ValidationError
 
 
+_MEMBER_TYPES = frozenset((str, int))
+
+
 def _require_keys(mapping, expected: tuple[str, ...], context: str):
     if not isinstance(mapping, dict):
         raise DocumentError(f"{context} must be an object")
-    actual = set(mapping)
-    missing = [key for key in expected if key not in actual]
-    extra = sorted(actual - set(expected))
+    missing = [key for key in expected if key not in mapping]
     if missing:
         raise DocumentError(f"{context} is missing key(s): {', '.join(missing)}")
-    if extra:
+    if len(mapping) != len(expected):
+        extra = sorted(set(mapping).difference(expected))
         raise DocumentError(f"{context} has unknown key(s): {', '.join(extra)}")
 
 
@@ -60,11 +62,13 @@ def _parse_entry(entry, context: str):
     members = entry["set"]
     if not isinstance(members, list) or not members:
         raise DocumentError(f"{context}: 'set' must be a non-empty list")
-    for member in members:
-        if isinstance(member, bool) or not isinstance(member, (str, int)):
-            raise DocumentError(
-                f"{context}: set members must be labels or 1-based positions, got {member!r}"
-            )
+    # Decoded JSON values have exact types, so bool (an int subclass) and
+    # float both fall outside the set.
+    if not _MEMBER_TYPES.issuperset(map(type, members)):
+        member = next(m for m in members if type(m) not in _MEMBER_TYPES)
+        raise DocumentError(
+            f"{context}: set members must be labels or 1-based positions, got {member!r}"
+        )
     mass = entry["mass"]
     if isinstance(mass, bool) or not isinstance(mass, (int, float)):
         raise DocumentError(f"{context}: 'mass' must be a number, got {mass!r}")

@@ -8,6 +8,7 @@ distribution; ``dif_betp`` measures how far apart two BBAs can bet.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,9 +62,12 @@ def ppt(bba: Bba) -> PignisticDistribution:
     """
     probabilities = [0.0] * bba.frame.size
     for focal_set, mass in bba.entries:
-        share = mass / len(focal_set)
-        for position in focal_set.members:
-            probabilities[position - 1] += share
+        bits = focal_set.bits
+        share = mass / bits.bit_count()
+        while bits:  # the set bits, lowest position first
+            low = bits & -bits
+            probabilities[low.bit_length() - 1] += share
+            bits ^= low
     return PignisticDistribution(bba.frame, tuple(probabilities))
 
 
@@ -83,16 +87,25 @@ def dif_betp(m1: Bba, m2: Bba, mode: BetPMode = BetPMode.ALL_SUBSETS) -> float:
     difference (their total variation). The other modes scan only the
     stated subsets.
     """
-    _check_same_frame(m1, m2)
-    p1 = ppt(m1).probabilities
-    p2 = ppt(m2).probabilities
-    diff = [a - b for a, b in zip(p1, p2)]
-    if mode is BetPMode.ALL_SUBSETS:
-        return sum(d for d in diff if d > 0.0)
-    if mode is BetPMode.SINGLETONS:
-        return max(abs(d) for d in diff)
-    scanned = {fs.bits: fs for fs, _ in m1.entries}
-    scanned.update((fs.bits, fs) for fs, _ in m2.entries)
-    return max(
-        abs(sum(diff[i - 1] for i in fs.members)) for fs in scanned.values()
-    )
+    return _betp_against(m1, mode)(m2)
+
+
+def _betp_against(reference: Bba, mode: BetPMode) -> Callable[[Bba], float]:
+    """``dif_betp(reference, candidate, mode)`` as a function of the
+    candidate, with the reference transformed once."""
+    p1 = ppt(reference).probabilities
+
+    def score(candidate: Bba) -> float:
+        _check_same_frame(reference, candidate)
+        diff = [a - b for a, b in zip(p1, ppt(candidate).probabilities)]
+        if mode is BetPMode.ALL_SUBSETS:
+            return sum((d for d in diff if d > 0.0), 0.0)
+        if mode is BetPMode.SINGLETONS:
+            return max(abs(d) for d in diff)
+        scanned = {fs.bits: fs for fs, _ in reference.entries}
+        scanned.update((fs.bits, fs) for fs, _ in candidate.entries)
+        return max(
+            abs(sum(diff[i - 1] for i in fs.members)) for fs in scanned.values()
+        )
+
+    return score

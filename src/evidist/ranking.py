@@ -49,15 +49,14 @@ def rank_by_distance(
     items = list(candidates.items()) if isinstance(candidates, Mapping) else list(candidates)
     if not items:
         raise ValidationError("no candidates to rank")
+    frame = reference.frame
     for name, bba in items:
-        if bba.frame != reference.frame:
+        if bba.frame is not frame and bba.frame != frame:
             raise FrameMismatchError(
                 f"candidate {name!r} is defined on a different frame"
             )
-    scored = [
-        (measure.evaluate(reference, bba), index, name)
-        for index, (name, bba) in enumerate(items)
-    ]
+    score = measure.against(reference)
+    scored = [(score(bba), index, name) for index, (name, bba) in enumerate(items)]
     scored.sort(key=lambda t: (t[0], t[1]))
 
     # Cluster near-equal distances, restore input order inside each cluster.

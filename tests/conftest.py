@@ -128,6 +128,18 @@ def bbas_off_unit_sum(draw, frame: Frame, max_focal: int = 6):
         assume(False)
 
 
+def ppt_by_members(bba: Bba) -> tuple[float, ...]:
+    """The pignistic transform written over ``FocalSet.members``: each
+    focal mass divided by the set's size and added to its members in
+    ascending order."""
+    probabilities = [0.0] * bba.frame.size
+    for focal_set, mass in bba.entries:
+        share = mass / len(focal_set)
+        for position in focal_set.members:
+            probabilities[position - 1] += share
+    return tuple(probabilities)
+
+
 SWEEP_FRAME_SIZE = 20
 
 

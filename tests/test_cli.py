@@ -71,6 +71,17 @@ class TestDist:
         assert code == 0
         assert out.splitlines()[1] == "m1,m2,betp:focal,1.0000"
 
+    def test_betp_zero_prints_as_float(self, sensors_file):
+        code, out, _ = cli("dist", sensors_file, "--pair", "gauge,gauge", "--measure", "betp")
+        assert code == 0
+        assert out.splitlines()[1] == "gauge,gauge,betp:all,0.0000"
+        code, out, _ = cli(
+            "--format", "json", "dist", sensors_file, "--pair", "gauge,gauge", "--measure", "betp"
+        )
+        assert code == 0
+        assert '"distance": 0.0\n' in out
+        assert json.loads(out)[0]["distance"] == 0.0
+
     def test_bad_measure_is_usage_error(self, singletons_file):
         code, out, err = cli("dist", singletons_file, "--pair", "m1,m2", "--measure", "nope")
         assert code == 1
@@ -102,6 +113,16 @@ class TestRank:
         code, out, _ = cli("rank", str(path), "--reference", "m1", "--measure", "jousselme")
         assert code == 0
         assert out.splitlines()[2:] == ["m2,1.0000,2,true", "m3,1.0000,3,true"]
+
+    def test_betp_reference_row_prints_as_float(self, sensors_file):
+        code, out, _ = cli("rank", sensors_file, "--reference", "gauge", "--measure", "betp")
+        assert code == 0
+        assert out.splitlines()[1] == "gauge,0.0000,1,false"
+        code, out, _ = cli(
+            "--format", "json", "rank", sensors_file, "--reference", "gauge", "--measure", "betp"
+        )
+        assert code == 0
+        assert '"distance": 0.0,' in out
 
     def test_unknown_reference(self, singletons_file):
         code, _, err = cli("rank", singletons_file, "--reference", "mX")
@@ -196,6 +217,13 @@ class TestValidate:
         code, out, err = cli("validate", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("evidist: ") and err.count("\n") == 1
+
+    def test_ambiguous_label_exit_code(self, tmp_path):
+        path = tmp_path / "label.json"
+        path.write_text('{"frame": ["a,b", "c"], "bbas": {"m": [{"set": [1], "mass": 1.0}]}}')
+        code, out, err = cli("combine", str(path), "--bbas", "m,m")
+        assert (code, out) == (2, "")
+        assert "'a,b'" in err
 
     def test_missing_file(self):
         code, _, err = cli("validate", "no-such-file.json")

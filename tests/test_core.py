@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,9 @@ from conftest import bba_pairs, make_frame, random_bba
 from evidist.combination import combine_dempster
 from evidist.core import (
     MASS_SUM_TOLERANCE,
+    Bba,
     FocalSet,
+    _check_same_frame,
     build_bba,
     build_frame,
     mass_of,
@@ -54,6 +57,101 @@ class TestBuildFrame:
     def test_unknown_label(self):
         with pytest.raises(ValidationError, match="unknown label"):
             build_frame(GRADES).subset(["Excellent"])
+
+    @pytest.mark.parametrize("label", ["a,b", "{d}", "x{", "y}", ","])
+    def test_set_display_characters_rejected(self, label):
+        # "{a,b,c}" would read as three labels, and "{{d}}" as a nested set.
+        with pytest.raises(ValidationError, match=re.escape(f"label {label!r}")):
+            build_frame(["c", label])
+
+    def test_other_punctuation_allowed(self):
+        frame = build_frame(["a b", "c;d", "(e)", "f|g", "[h]"])
+        assert repr(frame.subset([1, 4])) == "{a b,f|g}"
+
+
+class TestSubsetLookup:
+    """``Frame.subset`` resolves members through a table; any member the
+    table does not hold must fail as ``index_of`` makes it fail."""
+
+    @pytest.mark.parametrize(
+        "member,message",
+        [
+            (True, "invalid frame member True"),
+            (False, "invalid frame member False"),
+            (1.0, "invalid frame member 1.0"),
+            (2.0, "invalid frame member 2.0"),
+            (0, "index 0 out of range 1..5"),
+            (6, "index 6 out of range 1..5"),
+            ("Excellent", "unknown label 'Excellent'"),
+            (None, "invalid frame member None"),
+        ],
+    )
+    def test_rejected_members_keep_their_messages(self, member, message):
+        frame = build_frame(GRADES)
+        expected = f"^{re.escape(message)}$"
+        with pytest.raises(ValidationError, match=expected):
+            frame.index_of(member)
+        for members in ([member], ["Low", member], [3, member, 4]):
+            with pytest.raises(ValidationError, match=expected):
+                frame.subset(members)
+
+    def test_true_is_not_position_one(self):
+        frame = build_frame(GRADES)
+        assert frame.subset([1]).bits == 1
+        with pytest.raises(ValidationError):
+            frame.subset([True])
+        with pytest.raises(ValidationError):
+            frame.subset([1, True])
+
+    def test_int_subclass_goes_through_index_of(self):
+        class Position(int):
+            pass
+
+        assert build_frame(GRADES).subset([Position(3)]).bits == 0b100
+
+    @given(data=st.data())
+    def test_mixed_spellings_have_the_bits_of_index_of(self, data):
+        size = data.draw(st.integers(1, 64))
+        frame = make_frame(size)
+        positions = data.draw(st.lists(st.integers(1, size), min_size=1, max_size=2 * size))
+        members = [data.draw(st.sampled_from((p, frame.label(p)))) for p in positions]
+        expected = 0
+        for member in members:
+            expected |= 1 << (frame.index_of(member) - 1)
+        assert frame.subset(members).bits == expected
+
+
+class TestFrameIdentity:
+    """Frames are compared by identity first, then by value: a frame that
+    is equal but was built separately is accepted, a different one is not."""
+
+    def test_bba_accepts_equal_frame(self):
+        frame, twin = build_frame(GRADES), build_frame(GRADES)
+        assert frame is not twin and frame == twin
+        bba = Bba(frame, ((twin.subset([1]), 0.5), (frame.subset([2]), 0.5)))
+        assert len(bba.entries) == 2
+
+    def test_bba_rejects_other_frame(self):
+        frame = build_frame(GRADES)
+        with pytest.raises(FrameMismatchError, match="different frame"):
+            Bba(frame, ((make_frame(5).subset([1]), 1.0),))
+
+    def test_build_bba_accepts_equal_frame(self):
+        frame, twin = build_frame(GRADES), build_frame(GRADES)
+        bba = build_bba(frame, [(twin.subset([1]), 0.5), ({2}, 0.5)])
+        assert mass_of(bba, frame.subset([1])) == 0.5
+
+    def test_build_bba_rejects_other_frame(self):
+        frame = build_frame(GRADES)
+        with pytest.raises(FrameMismatchError, match="different frame"):
+            build_bba(frame, [(make_frame(5).subset([1]), 1.0)])
+
+    def test_check_same_frame(self):
+        m1 = build_bba(build_frame(GRADES), [({1}, 1.0)])
+        _check_same_frame(m1, m1)
+        _check_same_frame(m1, build_bba(build_frame(GRADES), [({2}, 1.0)]))
+        with pytest.raises(FrameMismatchError, match="different frames"):
+            _check_same_frame(m1, build_bba(make_frame(5), [({2}, 1.0)]))
 
 
 class TestFocalSet:

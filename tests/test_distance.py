@@ -2,13 +2,15 @@
 
 import math
 import random
+from itertools import accumulate
+from operator import sub
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bba_pairs, bba_triples, make_frame, random_bba
+from conftest import bba_pairs, bba_triples, make_frame, ppt_by_members, random_bba
 from evidist.core import build_bba, build_frame
 from evidist.distance import (
     DistanceMeasure,
@@ -318,6 +320,82 @@ class TestDistanceMeasure:
         assert DistanceMeasure.parse("betp:focal").evaluate(m1, m2) == dif_betp(
             m1, m2, BetPMode.FOCAL_SETS
         )
+
+
+MEASURE_SPELLINGS = ("red", "jousselme", "betp:all", "betp:singleton", "betp:focal")
+
+
+def pairwise_formula(text, m1, m2):
+    """Each measure written out pairwise, as one formula per call."""
+    if text == "jousselme":
+        radicand = 0.0
+        seen = []
+        for bits in sorted(m1._by_bits.keys() | m2._by_bits.keys()):
+            d = m1._by_bits.get(bits, 0.0) - m2._by_bits.get(bits, 0.0)
+            cross = 0.0
+            for other, d_other in seen:
+                cross += d_other * (bits & other).bit_count() / (bits | other).bit_count()
+            radicand += d * (d + 2.0 * cross)
+            seen.append((bits, d))
+        return math.sqrt(0.5 * radicand) if radicand > 0.0 else 0.0
+    p1, p2 = ppt_by_members(m1), ppt_by_members(m2)
+    if text == "red":
+        size = m1.frame.size
+        if size == 1:
+            return 0.0
+        cdf_gaps = accumulate(map(sub, p1[:-1], p2[:-1]))
+        return math.sqrt(sum(c * c for c in cdf_gaps) / (size - 1))
+    diff = [a - b for a, b in zip(p1, p2)]
+    if text == "betp:all":
+        return sum((d for d in diff if d > 0.0), 0.0)
+    if text == "betp:singleton":
+        return max(abs(d) for d in diff)
+    scanned = {fs.bits: fs for fs, _ in m1.entries}
+    scanned.update((fs.bits, fs) for fs, _ in m2.entries)
+    return max(abs(sum(diff[i - 1] for i in fs.members)) for fs in scanned.values())
+
+
+class TestAgainst:
+    @given(triple=bba_triples(min_size=1, max_size=20))
+    def test_scorer_equals_evaluate_and_pairwise_formula(self, triple):
+        reference, b, c = triple
+        for text in MEASURE_SPELLINGS:
+            measure = DistanceMeasure.parse(text)
+            score = measure.against(reference)
+            # One scorer, reused: no candidate may leak into the next.
+            for candidate in (b, c, reference, b):
+                expected = pairwise_formula(text, reference, candidate)
+                assert score(candidate) == measure.evaluate(reference, candidate) == expected
+
+    @pytest.mark.parametrize("text", MEASURE_SPELLINGS)
+    def test_scorer_checks_each_candidate_frame(self, text):
+        reference = build_bba(build_frame(GRADES), [({1}, 1.0)])
+        twin = build_bba(build_frame(GRADES), [({2}, 1.0)])
+        score = DistanceMeasure.parse(text).against(reference)
+        assert score(twin) > 0.0
+        with pytest.raises(FrameMismatchError):
+            score(build_bba(make_frame(5), [({2}, 1.0)]))
+
+    def test_reference_is_transformed_once(self, monkeypatch):
+        import evidist.distance
+        import evidist.pignistic
+
+        calls = []
+
+        def counting_ppt(bba):
+            calls.append(bba)
+            return ppt(bba)
+
+        monkeypatch.setattr(evidist.distance, "ppt", counting_ppt)
+        monkeypatch.setattr(evidist.pignistic, "ppt", counting_ppt)
+        reference = grade_categorical(1)
+        candidates = [grade_categorical(i) for i in (1, 2, 3, 4, 5)]
+        for text in ("red", "betp:all", "betp:singleton", "betp:focal"):
+            calls.clear()
+            score = DistanceMeasure.parse(text).against(reference)
+            for candidate in candidates:
+                score(candidate)
+            assert calls == [reference] + candidates
 
 
 @settings(max_examples=60)

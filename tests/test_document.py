@@ -74,6 +74,8 @@ def test_syntax_error_reports_position():
         ('{"frame": ["A"], "bbas": {}, "extra": 1}', "unknown key"),
         ('{"frame": "A", "bbas": {}}', "must be a list"),
         ('{"frame": ["A", "A"], "bbas": {}}', "frame"),
+        ('{"frame": ["a,b", "c"], "bbas": {}}', "frame: label 'a,b'"),
+        ('{"frame": ["c", "{d}"], "bbas": {}}', "frame: label '{d}'"),
         ('{"frame": ["A"], "bbas": []}', "must be an object"),
         ('{"frame": ["A"], "bbas": {"m": {}}}', "list of entries"),
         ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"]}]}}', "missing key"),
@@ -85,6 +87,8 @@ def test_syntax_error_reports_position():
         ('{"frame": ["A"], "bbas": {"m": [{"set": ["B"], "mass": 1.0}]}}', "unknown label"),
         ('{"frame": ["A"], "bbas": {"m": [{"set": [2], "mass": 1.0}]}}', "out of range"),
         ('{"frame": ["A"], "bbas": {"m": [{"set": [true], "mass": 1.0}]}}', "members"),
+        ('{"frame": ["A"], "bbas": {"m": [{"set": ["A", 1, null], "mass": 1.0}]}}', "got None$"),
+        ('{"frame": ["A"], "bbas": {"m": [{"set": [1, 1.0], "mass": 1.0}]}}', "got 1.0$"),
         ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": "1"}]}}', "number"),
         ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": -1.0}]}}', "'m'"),
         ('{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": NaN}]}}', "NaN"),

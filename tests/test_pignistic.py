@@ -14,6 +14,7 @@ from conftest import (
     bbas_on,
     brute_force_max_gap,
     make_frame,
+    ppt_by_members,
 )
 from evidist.combination import combine_dempster
 from evidist.core import build_bba, build_frame, vacuous_bba
@@ -47,6 +48,12 @@ class TestPpt:
             p = ppt(bba).probabilities
             assert all(x >= 0.0 for x in p)
             assert sum(p) == pytest.approx(1.0, abs=1e-9)
+
+    @given(pair=bba_pairs(min_size=1, max_size=64))
+    def test_equals_member_loop(self, pair):
+        # Same shares, added in the same ascending order: equal, not close.
+        for bba in pair:
+            assert ppt(bba).probabilities == ppt_by_members(bba)
 
     def test_to_bba_round_trip(self):
         frame = make_frame(4)
@@ -131,6 +138,14 @@ class TestDifBetp:
         m2 = build_bba(frame, [({1}, 0.5), ({2}, 0.5)])
         for mode in BetPMode:
             assert dif_betp(m1, m2, mode) == 0.0
+
+    def test_zero_is_a_float_in_every_mode(self):
+        # With no positive coordinate the all-subsets sum is empty.
+        frame = make_frame(3)
+        bba = build_bba(frame, [({1}, 0.6), ({1, 2}, 0.4)])
+        for mode in BetPMode:
+            result = dif_betp(bba, bba, mode)
+            assert type(result) is float and result == 0.0
 
     def test_default_mode_is_all_subsets(self):
         m1, m2 = sweep_bbas(1)

@@ -94,6 +94,25 @@ def test_frame_mismatch_names_candidate():
         )
 
 
+def test_candidate_on_equal_frame_is_accepted():
+    # Equal but built separately: compared by value after identity fails.
+    reference = build_bba(build_frame(GRADES), [({1}, 1.0)])
+    twin = build_bba(build_frame(GRADES), [({2}, 1.0)])
+    assert twin.frame is not reference.frame
+    for text in ("red", "jousselme", "betp"):
+        result = rank_by_distance(
+            reference, {"self": reference, "twin": twin}, DistanceMeasure.parse(text)
+        )
+        assert [e.name for e in result.entries] == ["self", "twin"]
+
+
+def test_candidate_on_other_frame_of_same_size_is_rejected():
+    reference = build_bba(build_frame(GRADES), [({1}, 1.0)])
+    stray = build_bba(make_frame(5), [({1}, 1.0)])
+    with pytest.raises(FrameMismatchError, match="stray"):
+        rank_by_distance(reference, {"stray": stray}, DistanceMeasure.parse("jousselme"))
+
+
 @given(pair=bba_pairs(max_size=8))
 def test_output_shape_invariants(pair):
     reference, other = pair
