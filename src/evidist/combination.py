@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Iterable
 
-from .core import MASS_SUM_TOLERANCE, Bba, FocalSet, _check_same_frame, build_bba
+from .core import MASS_SUM_TOLERANCE, Bba, _check_same_frame
 from .errors import TotalConflictError, ValidationError
 
 # 1 - k below this margin would divide the combined masses by a denormal.
@@ -18,9 +18,9 @@ def _focal_products(m1: Bba, m2: Bba) -> tuple[dict[int, float], float]:
     _check_same_frame(m1, m2)
     accumulated: dict[int, float] = {}
     k = 0.0
-    for a, mass_a in m1.entries:
-        for b, mass_b in m2.entries:
-            intersection = a.bits & b.bits
+    for a, mass_a in m1._pairs:
+        for b, mass_b in m2._pairs:
+            intersection = a & b
             if intersection:
                 accumulated[intersection] = (
                     accumulated.get(intersection, 0.0) + mass_a * mass_b
@@ -64,11 +64,13 @@ def combine_dempster(m1: Bba, m2: Bba) -> Bba:
     # cannot take them past the tolerance.
     if not k and abs(total - 1.0) <= 0.5 * MASS_SUM_TOLERANCE:
         total = 1.0
-    frame = m1.frame
-    return build_bba(
-        frame,
-        [(FocalSet(frame, bits), mass / total) for bits, mass in accumulated.items()],
-    )
+    # A share that underflows to zero drops out, as in build_bba.
+    masses = {
+        bits: share
+        for bits, mass in accumulated.items()
+        if (share := mass / total) > 0.0
+    }
+    return Bba._from_bits(m1.frame, masses)
 
 
 def combine_all(bbas: Iterable[Bba]) -> Bba:

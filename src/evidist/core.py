@@ -1,16 +1,19 @@
 """Frames of discernment, focal sets, and basic belief assignments.
 
 These are the value types the rest of the package operates on. All of
-them are immutable once constructed and every construction path runs the
-same validation, so a ``Bba`` in hand is always well formed: positive
-masses on non-empty subsets of its frame, summing to one.
+them are immutable once constructed and every public construction path
+validates, so a ``Bba`` in hand is always well formed: positive masses on
+non-empty subsets of its frame, summing to one. A ``Bba`` stores its
+focal sets as bitmasks; ``FocalSet`` objects are built from them only
+when something asks for ``entries`` or ``focal_sets``, which is display.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .errors import FrameMismatchError, ValidationError
@@ -86,6 +89,10 @@ class Frame:
 
     def subset(self, members: Iterable[Member]) -> FocalSet:
         """Build a focal set from labels and/or 1-based positions."""
+        return FocalSet(self, self._mask(members))
+
+    def _mask(self, members: Iterable[Member]) -> int:
+        """The non-empty bitmask of labels and/or 1-based positions."""
         table = self._bits
         bits = 0
         for member in members:
@@ -95,7 +102,9 @@ class Frame:
             if bit is None:
                 bit = 1 << (self.index_of(member) - 1)
             bits |= bit
-        return FocalSet(self, bits)
+        if not bits:
+            raise ValidationError("a focal set must be non-empty")
+        return bits
 
     def singleton(self, member: Member) -> FocalSet:
         return FocalSet(self, 1 << (self.index_of(member) - 1))
@@ -125,13 +134,7 @@ class FocalSet:
     @property
     def members(self) -> tuple[int, ...]:
         """Member positions, ascending and 1-based."""
-        members = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            members.append(low.bit_length())
-            bits ^= low
-        return tuple(members)
+        return tuple(i + 1 for i in _bit_positions(self.bits))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -152,22 +155,56 @@ def focal_sort_key(focal_set: FocalSet) -> tuple[int, tuple[int, ...]]:
     return (focal_set.bits.bit_count(), focal_set.members)
 
 
+def _bit_positions(bits: int) -> Iterator[int]:
+    """The 0-based positions of the set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+# Each byte value with its bit order reversed.
+_REVERSED_BYTES = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def _canonical_key(bits: int) -> int:
+    """An integer key in ``focal_sort_key``'s order, from the bitmask alone.
+
+    Within one cardinality the set holding the lowest bit of ``a ^ b``
+    comes first: up to that bit both member lists agree, and there one of
+    them has the smaller next member. Reversing the 64 bits makes that bit
+    the highest differing one, so the larger reversed value sorts first.
+    """
+    reversed_bits = int.from_bytes(
+        bits.to_bytes(8, "little").translate(_REVERSED_BYTES), "big"
+    )
+    return (bits.bit_count() << 64) - reversed_bits
+
+
+def _check_mass_sum(total: float):
+    if abs(total - 1.0) > MASS_SUM_TOLERANCE:
+        raise ValidationError(
+            f"masses sum to {total!r}, expected 1 within {MASS_SUM_TOLERANCE}"
+        )
+
+
 @dataclass(frozen=True)
 class Bba:
     """A basic belief assignment.
 
-    ``entries`` holds (focal set, mass) pairs in canonical order, with
-    strictly positive masses that sum to one within MASS_SUM_TOLERANCE.
-    The empty set never appears, so no mass sits outside the frame.
+    It stores bitmask -> mass pairs in canonical order (``focal_sort_key``),
+    with strictly positive masses that sum to one within
+    MASS_SUM_TOLERANCE. The empty set never appears, so no mass sits
+    outside the frame. ``entries`` gives the same pairs as (focal set,
+    mass), built on first access and then kept. Equality and hashing go
+    by the frame and the pairs.
     """
 
     frame: Frame
-    entries: tuple[tuple[FocalSet, float], ...]
+    _pairs: tuple[tuple[int, float], ...]
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.entries, key=lambda e: focal_sort_key(e[0])))
-        object.__setattr__(self, "entries", ordered)
-        frame = self.frame
+    def __init__(self, frame: Frame, entries: Iterable[tuple[FocalSet, float]]):
+        ordered = sorted(entries, key=lambda e: _canonical_key(e[0].bits))
         total = 0.0
         by_bits: dict[int, float] = {}
         for focal_set, mass in ordered:
@@ -183,11 +220,39 @@ class Bba:
                 raise ValidationError(f"duplicate focal set {focal_set!r}")
             by_bits[focal_set.bits] = mass
             total += mass
-        if abs(total - 1.0) > MASS_SUM_TOLERANCE:
-            raise ValidationError(
-                f"masses sum to {total!r}, expected 1 within {MASS_SUM_TOLERANCE}"
-            )
+        _check_mass_sum(total)
+        self._store(frame, by_bits)
+
+    @classmethod
+    def _from_bits(
+        cls, frame: Frame, masses: Mapping[int, float], *, check_sum: bool = True
+    ) -> Bba:
+        """Trusted constructor for masses that are valid by construction.
+
+        ``masses`` maps distinct non-empty bitmasks on ``frame`` to positive
+        finite masses. Only their sum is checked, in canonical order, and
+        not at all with ``check_sum=False``.
+        """
+        by_bits = {bits: masses[bits] for bits in sorted(masses, key=_canonical_key)}
+        if check_sum:
+            total = 0.0
+            for mass in by_bits.values():
+                total += mass
+            _check_mass_sum(total)
+        bba = object.__new__(cls)
+        bba._store(frame, by_bits)
+        return bba
+
+    def _store(self, frame: Frame, by_bits: dict[int, float]):
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "_pairs", tuple(by_bits.items()))
         object.__setattr__(self, "_by_bits", by_bits)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[FocalSet, float], ...]:
+        """(focal set, mass) pairs in canonical order."""
+        frame = self.frame
+        return tuple((FocalSet(frame, bits), mass) for bits, mass in self._pairs)
 
     @property
     def focal_sets(self) -> tuple[FocalSet, ...]:
@@ -226,37 +291,46 @@ def build_bba(
     With ``renormalize`` the merged masses are scaled to sum to one,
     otherwise the sum must already be 1 within MASS_SUM_TOLERANCE.
     """
-    if isinstance(entries, Mapping):
+    # A list, what the document parser passes, skips the slower ABC check.
+    if type(entries) is not list and isinstance(entries, Mapping):
         entries = entries.items()
-    # [first FocalSet seen, summed mass] per bitmask. Keyed by the int:
-    # hashing a FocalSet would hash its frame's labels on every entry.
-    merged: dict[int, list] = {}
+    # A FocalSet is built only to name a set in an error message.
+    merged: dict[int, float] = {}
     for set_like, mass in entries:
         if isinstance(set_like, FocalSet):
-            focal_set = set_like
-            if focal_set.frame is not frame and focal_set.frame != frame:
+            if set_like.frame is not frame and set_like.frame != frame:
                 raise FrameMismatchError(
-                    f"focal set {focal_set!r} belongs to a different frame"
+                    f"focal set {set_like!r} belongs to a different frame"
                 )
+            bits = set_like.bits
         else:  # on ``frame`` by construction
-            focal_set = frame.subset(set_like)
+            bits = frame._mask(set_like)
         mass = float(mass)
         if not math.isfinite(mass):
             raise ValidationError(
-                f"focal masses must be finite, got {mass!r} on {focal_set!r}"
+                f"focal masses must be finite, got {mass!r} on {FocalSet(frame, bits)!r}"
             )
         if mass < 0.0:
             raise ValidationError(
-                f"focal masses must be nonnegative, got {mass!r} on {focal_set!r}"
+                f"focal masses must be nonnegative, got {mass!r} "
+                f"on {FocalSet(frame, bits)!r}"
             )
-        merged.setdefault(focal_set.bits, [focal_set, 0.0])[1] += mass
-    positive = [(fs, mass) for fs, mass in merged.values() if mass > 0.0]
+        merged[bits] = merged.get(bits, 0.0) + mass
+    positive = {bits: mass for bits, mass in merged.items() if mass > 0.0}
     if renormalize:
-        total = sum(mass for _, mass in positive)
+        total = sum(positive.values())
         if total <= 0.0:
             raise ValidationError("cannot renormalize: total mass is zero")
-        positive = [(fs, mass / total) for fs, mass in positive]
-    return Bba(frame, tuple(positive))
+        positive = {bits: mass / total for bits, mass in positive.items()}
+        # A mass far below the total can underflow to zero when scaled.
+        underflowed = [bits for bits, mass in positive.items() if not mass > 0.0]
+        if underflowed:
+            bits = min(underflowed, key=_canonical_key)
+            raise ValidationError(
+                f"focal masses must be positive, got {positive[bits]!r} "
+                f"on {FocalSet(frame, bits)!r}"
+            )
+    return Bba._from_bits(frame, positive)
 
 
 def vacuous_bba(frame: Frame) -> Bba:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Bba, Frame, build_bba, build_frame
+from .core import Bba, Frame, _bit_positions, build_bba, build_frame
 from .errors import DocumentError, ValidationError
 
 
@@ -134,7 +134,21 @@ def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
             raise DocumentError(f"bba {name!r} must be a list of entries")
         entries = []
         for position, entry in enumerate(entry_list):
-            entries.append(_parse_entry(entry, f"bba {name!r}, entry {position + 1}"))
+            # A well-formed entry passes one inline test; any other goes
+            # through _parse_entry, which names what is wrong with it.
+            if (
+                type(entry) is dict
+                and len(entry) == 2
+                and type(entry.get("mass")) is float
+                and type(members := entry.get("set")) is list
+                and members
+                and _MEMBER_TYPES.issuperset(map(type, members))
+            ):
+                entries.append((members, entry["mass"]))
+            else:
+                entries.append(
+                    _parse_entry(entry, f"bba {name!r}, entry {position + 1}")
+                )
         try:
             bbas[name] = build_bba(frame, entries, renormalize=renormalize)
         except ValidationError as exc:
@@ -144,12 +158,13 @@ def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
 
 def serialize_document(document: EvidenceDocument) -> str:
     """Render a document back to text; parsing the result reproduces it."""
+    labels = document.frame.labels
     payload = {
-        "frame": list(document.frame.labels),
+        "frame": list(labels),
         "bbas": {
             name: [
-                {"set": list(fs.labels), "mass": mass}
-                for fs, mass in bba.entries
+                {"set": [labels[i] for i in _bit_positions(bits)], "mass": mass}
+                for bits, mass in bba._pairs
             ]
             for name, bba in document.bbas.items()
         },

@@ -12,7 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Bba, FocalSet, Frame, _check_same_frame, build_bba
+from .core import Bba, FocalSet, Frame, _bit_positions, _check_same_frame
 from .errors import FrameMismatchError
 
 
@@ -42,15 +42,14 @@ class PignisticDistribution:
     probabilities: tuple[float, ...]
 
     def to_bba(self) -> Bba:
-        """The BBA carrying this distribution on singleton focal sets."""
-        return build_bba(
-            self.frame,
-            [
-                (self.frame.singleton(i + 1), p)
-                for i, p in enumerate(self.probabilities)
-                if p > 0.0
-            ],
-        )
+        """The BBA carrying this distribution on singleton focal sets.
+
+        Its mass sum is not checked again: ``ppt`` of a valid BBA is a
+        distribution, even where rounding takes its sum a little further
+        from one than the BBA's own.
+        """
+        masses = {1 << i: p for i, p in enumerate(self.probabilities) if p > 0.0}
+        return Bba._from_bits(self.frame, masses, check_sum=False)
 
 
 def ppt(bba: Bba) -> PignisticDistribution:
@@ -61,8 +60,7 @@ def ppt(bba: Bba) -> PignisticDistribution:
     out at construction, so no renormalization is needed here.
     """
     probabilities = [0.0] * bba.frame.size
-    for focal_set, mass in bba.entries:
-        bits = focal_set.bits
+    for bits, mass in bba._pairs:
         share = mass / bits.bit_count()
         while bits:  # the set bits, lowest position first
             low = bits & -bits
@@ -102,10 +100,9 @@ def _betp_against(reference: Bba, mode: BetPMode) -> Callable[[Bba], float]:
             return sum((d for d in diff if d > 0.0), 0.0)
         if mode is BetPMode.SINGLETONS:
             return max(abs(d) for d in diff)
-        scanned = {fs.bits: fs for fs, _ in reference.entries}
-        scanned.update((fs.bits, fs) for fs, _ in candidate.entries)
+        scanned = reference._by_bits.keys() | candidate._by_bits.keys()
         return max(
-            abs(sum(diff[i - 1] for i in fs.members)) for fs in scanned.values()
+            abs(sum(map(diff.__getitem__, _bit_positions(bits)))) for bits in scanned
         )
 
     return score

@@ -1,8 +1,11 @@
 """Frame, focal set, and BBA construction and validation."""
 
+import copy
 import math
+import pickle
 import random
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -14,9 +17,11 @@ from evidist.core import (
     MASS_SUM_TOLERANCE,
     Bba,
     FocalSet,
+    _canonical_key,
     _check_same_frame,
     build_bba,
     build_frame,
+    focal_sort_key,
     mass_of,
     vacuous_bba,
 )
@@ -312,3 +317,116 @@ def test_entries_are_canonically_ordered(size, data):
     bba = data.draw(bbas_on(make_frame(size)))
     keys = [(len(fs), fs.members) for fs, _ in bba.entries]
     assert keys == sorted(keys)
+
+
+class TestPackedBba:
+    """A Bba stores canonical (bits, mass) pairs and builds its FocalSets
+    only on demand; what it shows must be what the sorted-FocalSet
+    construction gave."""
+
+    @given(data=st.data())
+    def test_integer_key_sorts_like_focal_sort_key(self, data):
+        size = data.draw(st.integers(1, 64))
+        frame = make_frame(size)
+        # Few-member sets make equal cardinalities common on large frames.
+        few_members = st.sets(st.integers(0, size - 1), min_size=1, max_size=3).map(
+            lambda positions: sum(1 << p for p in positions)
+        )
+        masks = data.draw(
+            st.lists(
+                st.one_of(st.integers(1, (1 << size) - 1), few_members),
+                min_size=1,
+                max_size=12,
+                unique=True,
+            )
+        )
+        by_key = sorted(masks, key=_canonical_key)
+        focal_sets = sorted((FocalSet(frame, b) for b in masks), key=focal_sort_key)
+        assert by_key == [fs.bits for fs in focal_sets]
+
+    def test_integer_key_orders_within_one_cardinality(self):
+        frame = make_frame(64)
+        # {1,64} before {2,3}: the lowest bit of a ^ b is position 1.
+        masks = [0b110, (1 << 63) | 1, 0b1, 1 << 63]
+        expected = sorted(masks, key=lambda b: focal_sort_key(FocalSet(frame, b)))
+        assert expected == [1, 1 << 63, (1 << 63) | 1, 0b110]
+        assert sorted(masks, key=_canonical_key) == expected
+
+    @given(data=st.data())
+    def test_entries_equal_the_sorted_focal_set_pairs(self, data):
+        size = data.draw(st.integers(1, 64))
+        frame = make_frame(size)
+        drawn = data.draw(
+            st.lists(
+                st.tuples(st.integers(1, (1 << size) - 1), st.integers(1, 100)),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        total = sum(w for _, w in drawn)
+        pairs = [(FocalSet(frame, b), w / total) for b, w in drawn]
+        bba = build_bba(frame, pairs)
+        # How entries were built before they were packed: merged per set,
+        # then sorted by focal_sort_key.
+        merged = {}
+        for focal_set, mass in pairs:
+            merged[focal_set] = merged.get(focal_set, 0.0) + mass
+        expected = tuple(sorted(merged.items(), key=lambda e: focal_sort_key(e[0])))
+        assert bba.entries == expected
+        assert bba.focal_sets == tuple(fs for fs, _ in expected)
+        assert bba.entries is bba.entries  # built once, then kept
+
+    def test_public_and_built_bbas_are_equal_and_hash_equal(self):
+        frame = build_frame(GRADES)
+        public = Bba(frame, ((frame.subset([1, 2]), 0.25), (frame.subset([3]), 0.75)))
+        built = build_bba(frame, [({"Middle"}, 0.75), ((1, "Low"), 0.25)])
+        assert public == built and hash(public) == hash(built)
+        assert public.entries == built.entries
+        assert public != build_bba(frame, [({"Middle"}, 0.5), ((1, "Low"), 0.5)])
+        assert public != build_bba(make_frame(5), [({3}, 0.75), ({1, 2}, 0.25)])
+        assert len({public, built}) == 1
+
+    def test_fields_cannot_be_assigned(self):
+        frame = build_frame(GRADES)
+        bba = build_bba(frame, [({1}, 1.0)])
+        for name, value in (("entries", ()), ("frame", make_frame(5)), ("_pairs", ())):
+            with pytest.raises(FrozenInstanceError):
+                setattr(bba, name, value)
+        with pytest.raises(FrozenInstanceError):
+            del bba.frame
+        assert bba.frame is frame and bba._pairs == ((1, 1.0),)
+
+    def test_copies_and_pickles_are_equal(self):
+        frame = build_frame(GRADES)
+        bba = build_bba(frame, [({1, 2}, 0.25), ({3}, 0.75)])
+        for clone in (copy.copy(bba), copy.deepcopy(bba), pickle.loads(pickle.dumps(bba))):
+            assert clone == bba and clone._by_bits == bba._by_bits
+            assert clone.entries == bba.entries
+
+    def test_renormalized_mass_that_underflows_is_rejected(self):
+        frame = build_frame(GRADES)
+        with pytest.raises(ValidationError, match=r"positive, got 0.0 on \{Poor\}"):
+            build_bba(frame, [({1}, 5e-324), ({2}, 2.0)], renormalize=True)
+
+    @given(pair=bba_pairs(min_size=1, max_size=10, include_full=True))
+    def test_combine_equals_build_bba_of_the_products(self, pair):
+        m1, m2 = pair
+        frame = m1.frame
+        # The focal products of Dempster's rule, formed test-locally.
+        accumulated, k = {}, 0.0
+        for a, mass_a in m1.entries:
+            for b, mass_b in m2.entries:
+                if a.bits & b.bits:
+                    key = a.bits & b.bits
+                    accumulated[key] = accumulated.get(key, 0.0) + mass_a * mass_b
+                else:
+                    k += mass_a * mass_b
+        total = sum(accumulated.values())
+        if not k and abs(total - 1.0) <= 0.5 * MASS_SUM_TOLERANCE:
+            total = 1.0
+        expected = build_bba(
+            frame, [(FocalSet(frame, b), mass / total) for b, mass in accumulated.items()]
+        )
+        combined = combine_dempster(m1, m2)
+        assert combined == expected
+        assert combined._by_bits == expected._by_bits

@@ -10,8 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bba_pairs, bba_triples, make_frame, ppt_by_members, random_bba
+from conftest import (
+    EDGE_SUM_DOCUMENT,
+    bba_pairs,
+    bba_triples,
+    make_frame,
+    ppt_by_members,
+    random_bba,
+)
 from evidist.core import build_bba, build_frame
+from evidist.document import parse_document
 from evidist.distance import (
     DistanceMeasure,
     correlation_matrix,
@@ -285,6 +293,16 @@ class TestReduction:
         frame = make_frame(4)
         bba = build_bba(frame, [({1, 2}, 0.5), ({4}, 0.5)])
         assert red_reduces_to_jousselme(bba, bba) == (0.0, 0.0)
+
+    def test_pignistic_sum_past_the_tolerance(self):
+        # ppt of "m" sums to 1.000000001 by rounding; to_bba must not
+        # reject it, since "m" itself is valid.
+        document = parse_document(EDGE_SUM_DOCUMENT)
+        with_identity, on_pignistic = red_reduces_to_jousselme(
+            document.bba("m"), document.bba("r")
+        )
+        assert math.isfinite(with_identity) and math.isfinite(on_pignistic)
+        assert with_identity == pytest.approx(on_pignistic, abs=1e-12)
 
     @settings(max_examples=100)
     @given(pair=bba_pairs(max_size=10))

@@ -1,5 +1,6 @@
 """Evidence document parsing, validation, and round-tripping."""
 
+import io
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bbas_on, make_frame
+from evidist.cli import run_cli
 from evidist.core import mass_of
 from evidist.document import EvidenceDocument, parse_document, serialize_document
 from evidist.errors import DocumentError
@@ -168,3 +170,79 @@ def test_duplicate_sets_in_document_merge():
 def test_shipped_examples_parse(name):
     document = parse_document((DOCS_EXAMPLES / name).read_text(encoding="utf-8"))
     assert document.bbas
+
+
+# The third entry of BBA 'm' after two valid ones, and the exact message
+# `validate` prints for it. Entries that pass the parser's inline test
+# and those that fail it must report as they always have.
+_THIRD_ENTRY_REJECTIONS = {
+    "non-dict": ('"A"', "bba 'm', entry 3 must be an object"),
+    "missing-key": ('{"set": ["C"]}', "bba 'm', entry 3 is missing key(s): mass"),
+    "extra-key": (
+        '{"set": ["C"], "mass": 0.0, "note": "x"}',
+        "bba 'm', entry 3 has unknown key(s): note",
+    ),
+    "empty-set": (
+        '{"set": [], "mass": 0.0}',
+        "bba 'm', entry 3: 'set' must be a non-empty list",
+    ),
+    "null-set": (
+        '{"set": null, "mass": 0.0}',
+        "bba 'm', entry 3: 'set' must be a non-empty list",
+    ),
+    "bool-member": (
+        '{"set": ["C", true], "mass": 0.0}',
+        "bba 'm', entry 3: set members must be labels or 1-based positions, got True",
+    ),
+    "float-member": (
+        '{"set": [3.0], "mass": 0.0}',
+        "bba 'm', entry 3: set members must be labels or 1-based positions, got 3.0",
+    ),
+    "null-member": (
+        '{"set": [null], "mass": 0.0}',
+        "bba 'm', entry 3: set members must be labels or 1-based positions, got None",
+    ),
+    "string-mass": (
+        '{"set": ["C"], "mass": "0.5"}',
+        "bba 'm', entry 3: 'mass' must be a number, got '0.5'",
+    ),
+    "null-mass": (
+        '{"set": ["C"], "mass": null}',
+        "bba 'm', entry 3: 'mass' must be a number, got None",
+    ),
+    "integer-mass-1": (
+        '{"set": ["C"], "mass": 1}',
+        "bba 'm': masses sum to 2.0, expected 1 within 1e-09",
+    ),
+    "unknown-label": ('{"set": ["Z"], "mass": 0.0}', "bba 'm': unknown label 'Z'"),
+    "position-0": ('{"set": [0], "mass": 0.0}', "bba 'm': index 0 out of range 1..3"),
+    "position-N+1": ('{"set": [4], "mass": 0.0}', "bba 'm': index 4 out of range 1..3"),
+}
+
+
+def _third_entry_document(third: str) -> str:
+    return (
+        '{"frame": ["A", "B", "C"], "bbas": {"m": [{"set": ["A"], "mass": 0.5}, '
+        '{"set": ["B"], "mass": 0.5}, %s]}}' % third
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_THIRD_ENTRY_REJECTIONS))
+def test_rejected_third_entry_keeps_its_message(case, tmp_path):
+    third, message = _THIRD_ENTRY_REJECTIONS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(_third_entry_document(third), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(["validate", str(path)], stdout=out, stderr=err) == 2
+    assert err.getvalue() == f"evidist: {message}\n"
+    assert out.getvalue() == ""
+
+
+def test_integer_mass_is_accepted():
+    text = (
+        '{"frame": ["A", "B", "C"], "bbas": {"m": [{"set": ["A"], "mass": 0}, '
+        '{"set": ["B"], "mass": 0.0}, {"set": ["C"], "mass": 1}]}}'
+    )
+    ((focal_set, mass),) = parse_document(text).bba("m").entries
+    assert focal_set.labels == ("C",)
+    assert type(mass) is float and mass == 1.0
