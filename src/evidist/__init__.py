@@ -4,7 +4,7 @@ Mass functions, Dempster's rule, the pignistic transformation, three
 evidence distance measures (Jousselme, betting commitments, and the
 order-aware ranking evidence distance), and distance-based ranking of
 BBAs against a reference. See the CLI in :mod:`evidist.cli` for the
-file-driven interface.
+file-driven interface. The package uses the standard library only.
 """
 
 from .combination import combine_all, combine_dempster, conflict

@@ -23,6 +23,10 @@ MASS_SUM_TOLERANCE = 1e-9
 
 Member = Union[str, int]
 _TABLE_TYPES = frozenset((str, int))
+# Iterable, but over characters or byte values rather than members; and a
+# bool mass would count as 0 or 1. Neither is what the caller meant.
+_TEXT_TYPES = (str, bytes, bytearray)
+_NOT_MASS_TYPES = (*_TEXT_TYPES, bool)
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,14 @@ class Frame:
 
     def _mask(self, members: Iterable[Member]) -> int:
         """The non-empty bitmask of labels and/or 1-based positions."""
+        if type(members) is not list and isinstance(members, _TEXT_TYPES):
+            message = (
+                f"set {members!r} is a {type(members).__name__}, "
+                "not a collection of labels or positions"
+            )
+            if isinstance(members, str):
+                message += f"; write [{members!r}] for one label"
+            raise ValidationError(message)
         table = self._bits
         bits = 0
         for member in members:
@@ -181,6 +193,18 @@ def _canonical_key(bits: int) -> int:
     return (bits.bit_count() << 64) - reversed_bits
 
 
+def _to_mass(mass, frame: Frame, bits: int) -> float:
+    """A mass given as another number type, as a float; text is not parsed."""
+    try:
+        if not isinstance(mass, _NOT_MASS_TYPES):
+            return float(mass)
+    except TypeError:
+        pass
+    raise ValidationError(
+        f"focal masses must be numbers, got {mass!r} on {FocalSet(frame, bits)!r}"
+    )
+
+
 def _check_mass_sum(total: float):
     if abs(total - 1.0) > MASS_SUM_TOLERANCE:
         raise ValidationError(
@@ -212,6 +236,8 @@ class Bba:
                 raise FrameMismatchError(
                     f"focal set {focal_set!r} belongs to a different frame"
                 )
+            if type(mass) is not float:
+                mass = _to_mass(mass, frame, focal_set.bits)
             if not mass > 0.0:
                 raise ValidationError(
                     f"focal masses must be positive, got {mass!r} on {focal_set!r}"
@@ -286,7 +312,8 @@ def build_bba(
     """Build a validated BBA from (set, mass) pairs.
 
     Sets may be FocalSet instances or iterables of labels / 1-based
-    positions. Masses must be finite and nonnegative. Pairs naming the
+    positions, but not a bare str or bytes. Masses must be finite,
+    nonnegative numbers; text and bools are rejected. Pairs naming the
     same set merge by summing their masses; zero-mass pairs drop out.
     With ``renormalize`` the merged masses are scaled to sum to one,
     otherwise the sum must already be 1 within MASS_SUM_TOLERANCE.
@@ -305,7 +332,8 @@ def build_bba(
             bits = set_like.bits
         else:  # on ``frame`` by construction
             bits = frame._mask(set_like)
-        mass = float(mass)
+        if type(mass) is not float:  # the document parser passes floats
+            mass = _to_mass(mass, frame, bits)
         if not math.isfinite(mass):
             raise ValidationError(
                 f"focal masses must be finite, got {mass!r} on {FocalSet(frame, bits)!r}"

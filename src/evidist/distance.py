@@ -20,8 +20,6 @@ All three are symmetric, nonnegative and zero on equal inputs; the two
 quadratic-form measures also satisfy the triangle inequality. The ranking
 measure is a pseudo-metric on BBAs: it is zero exactly when the two
 pignistic distributions coincide.
-
-Only ``correlation_matrix`` needs numpy, and imports it on first call.
 """
 
 from __future__ import annotations
@@ -32,14 +30,11 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
 from operator import sub
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .core import Bba, FocalSet, _check_same_frame
 from .errors import FrameMismatchError, NumericalError, ValidationError
 from .pignistic import BetPMode, _betp_against, ppt
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Quadratic forms of positive semidefinite matrices are nonnegative;
 # anything below this is a fault, anything above but negative is rounding.
@@ -87,27 +82,22 @@ def jousselme_distance(m1: Bba, m2: Bba) -> float:
 
 
 @lru_cache(maxsize=None)
-def correlation_matrix(size: int) -> np.ndarray:
+def correlation_matrix(size: int) -> tuple[tuple[float, ...], ...]:
     """Grade-closeness matrix S with entries 1 - |i - j| / (N - 1).
 
     Symmetric, Toeplitz, unit diagonal, linearly decaying to 0 at the
     maximal grade distance, and positive semidefinite. For a single-grade
-    frame the 1x1 identity. Instances are cached per size and returned
-    read-only; concurrent callers always see a fully constructed matrix.
-    This is the definition ``red_distance`` evaluates in closed form; it
-    is the only function of the package that imports numpy.
+    frame the 1x1 identity. Returned as a tuple of row tuples, cached per
+    size; being immutable, one fully built instance is shared by every
+    caller, and an array library's ``asarray`` converts it as it stands.
+    This is the definition ``red_distance`` evaluates in closed form.
     """
     if size < 1:
         raise ValidationError("frame size must be at least 1")
-    import numpy as np
-
-    if size == 1:
-        matrix = np.ones((1, 1))
-    else:
-        positions = np.arange(size)
-        matrix = 1.0 - np.abs(positions[:, None] - positions[None, :]) / (size - 1)
-    matrix.flags.writeable = False
-    return matrix
+    span = max(size - 1, 1)
+    return tuple(
+        tuple(1.0 - abs(i - j) / span for j in range(size)) for i in range(size)
+    )
 
 
 def red_distance(m1: Bba, m2: Bba) -> float:

@@ -6,7 +6,10 @@ import pickle
 import random
 import re
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -258,6 +261,87 @@ class TestBuildBba:
         frame = build_frame(GRADES)
         bba = build_bba(frame, {frame.subset([1]): 0.5, frame.subset([2]): 0.5})
         assert len(bba.entries) == 2
+
+
+class TestTextIsNotASet:
+    """A str or bytes iterates as characters or byte values; taken as a set
+    it would silently name other members, so it is rejected by name."""
+
+    LABELS = ["A", "B", "AB"]
+
+    @pytest.mark.parametrize(
+        "labels,text",
+        [(LABELS, "AB"), (LABELS, "A"), (GRADES, "Poor")],
+        ids=["AB", "A", "Poor"],
+    )
+    def test_string_rejected_with_a_hint(self, labels, text):
+        frame = build_frame(labels)
+        expected = re.escape(f"set {text!r} is a str") + ".*" + re.escape(f"[{text!r}]")
+        with pytest.raises(ValidationError, match=expected):
+            build_bba(frame, [(text, 1.0)])
+        with pytest.raises(ValidationError, match=expected):
+            frame.subset(text)
+
+    @pytest.mark.parametrize(
+        "data", [b"\x01\x02", bytearray(b"\x03")], ids=["bytes", "bytearray"]
+    )
+    def test_bytes_rejected(self, data):
+        frame = build_frame(self.LABELS)
+        expected = re.escape(f"set {data!r} is a {type(data).__name__}")
+        with pytest.raises(ValidationError, match=expected):
+            build_bba(frame, [(data, 1.0)])
+        with pytest.raises(ValidationError, match=expected):
+            frame.subset(data)
+
+    def test_mapping_with_string_key_rejected(self):
+        frame = build_frame(self.LABELS)
+        with pytest.raises(ValidationError, match="'AB' is a str"):
+            build_bba(frame, {"AB": 1.0})
+        assert build_bba(frame, {("AB",): 1.0}).focal_sets == (frame.subset([3]),)
+
+
+class TestMassTypes:
+    """Both public constructors take numbers, never text or bools, as masses."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["0.5", b"0.5", bytearray(b"0.5"), True, None],
+        ids=["str", "bytes", "bytearray", "bool", "None"],
+    )
+    def test_build_bba_rejects_non_numbers(self, bad):
+        frame = build_frame(GRADES)
+        with pytest.raises(ValidationError, match=r"must be numbers, got .* on \{Poor\}$"):
+            build_bba(frame, [(["Poor"], bad), (["Low"], 0.5)])
+
+    @pytest.mark.parametrize(
+        "bad", ["1", b"1", True, None], ids=["str", "bytes", "bool", "None"]
+    )
+    def test_bba_rejects_non_numbers(self, bad):
+        frame = build_frame(GRADES)
+        with pytest.raises(ValidationError, match=r"must be numbers, got .* on \{Poor\}$"):
+            Bba(frame, [(frame.subset(["Poor"]), bad)])
+
+    @pytest.mark.parametrize(
+        "half",
+        [Fraction(1, 2), Decimal("0.5"), np.float64(0.5)],
+        ids=["Fraction", "Decimal", "float64"],
+    )
+    def test_other_numbers_stored_as_float(self, half):
+        frame = build_frame(GRADES)
+        poor, low = frame.subset(["Poor"]), frame.subset(["Low"])
+        for bba in (
+            build_bba(frame, [(["Poor"], half), (["Low"], half)]),
+            Bba(frame, [(poor, half), (low, half)]),
+        ):
+            assert bba._pairs == ((1, 0.5), (2, 0.5))
+            assert all(type(mass) is float for _, mass in bba._pairs)
+
+    def test_int_masses(self):
+        frame = build_frame(GRADES)
+        full = frame.full_set()
+        for bba in (build_bba(frame, [(full, 1)]), Bba(frame, [(full, 1)])):
+            assert bba._pairs == ((full.bits, 1.0),)
+            assert type(bba._pairs[0][1]) is float
 
 
 class TestVacuous:

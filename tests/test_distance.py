@@ -152,19 +152,20 @@ class TestCorrelationMatrix:
 
     def test_twenty_grades_corners(self):
         s = correlation_matrix(20)
-        assert s[0, 19] == 0.0
-        assert s[0, 1] == pytest.approx(1 - 1 / 19, abs=1e-15)
+        assert s[0][19] == 0.0
+        assert s[0][1] == pytest.approx(1 - 1 / 19, abs=1e-15)
 
     def test_single_grade(self):
         assert np.array_equal(correlation_matrix(1), np.eye(1))
 
     def test_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            correlation_matrix(0)
+        for size in (0, -1):
+            with pytest.raises(ValidationError):
+                correlation_matrix(size)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 10, 20, 35, 50])
     def test_structure_and_psd(self, size):
-        s = correlation_matrix(size)
+        s = np.asarray(correlation_matrix(size))
         assert np.array_equal(s, s.T)
         assert np.all(np.diag(s) == 1.0)
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
@@ -176,8 +177,25 @@ class TestCorrelationMatrix:
     def test_cached_and_read_only(self):
         s = correlation_matrix(7)
         assert s is correlation_matrix(7)
-        with pytest.raises(ValueError):
-            s[0, 0] = 2.0
+        with pytest.raises(TypeError):
+            s[0][0] = 2.0
+        with pytest.raises(TypeError):
+            s[0] = (2.0,) * 7
+
+    @pytest.mark.parametrize("size", range(1, 65))
+    def test_bit_identical_to_array_formula(self, size):
+        if size == 1:
+            expected = np.ones((1, 1))
+        else:
+            i = np.arange(size)
+            expected = 1.0 - np.abs(i[:, None] - i[None, :]) / (size - 1)
+        s = correlation_matrix(size)
+        assert type(s) is tuple and len(s) == size
+        assert all(type(row) is tuple and len(row) == size for row in s)
+        assert [[float.hex(x) for x in row] for row in s] == [
+            [float.hex(float(x)) for x in row] for row in expected
+        ]
+        assert s is correlation_matrix(size)
 
 
 class TestRedDistance:
