@@ -116,8 +116,8 @@ def _cmd_validate(args):
     rows = [
         {
             "bba": name,
-            "focal_sets": len(bba._pairs),
-            "mass_sum": sum(mass for _, mass in bba._pairs),
+            "focal_sets": len(bba._by_bits),
+            "mass_sum": sum(bba._by_bits.values()),
         }
         for name, bba in document.bbas.items()
     ]

@@ -3,9 +3,10 @@
 These are the value types the rest of the package operates on. All of
 them are immutable once constructed and every public construction path
 validates, so a ``Bba`` in hand is always well formed: positive masses on
-non-empty subsets of its frame, summing to one. A ``Bba`` stores its
-focal sets as bitmasks; ``FocalSet`` objects are built from them only
-when something asks for ``entries`` or ``focal_sets``, which is display.
+non-empty subsets of its frame, summing to one. A ``Bba`` keeps one
+canonical bitmask -> mass dict; ``FocalSet`` objects are built from it
+only when something asks for ``entries`` or ``focal_sets``, which is
+display.
 """
 
 from __future__ import annotations
@@ -200,32 +201,36 @@ def _to_mass(mass, frame: Frame, bits: int) -> float:
             return float(mass)
     except TypeError:
         pass
+    except OverflowError:
+        # No repr of the mass: past the digit limit an int cannot print.
+        raise ValidationError(
+            f"focal mass on {FocalSet(frame, bits)!r} is too large for a float"
+        ) from None
     raise ValidationError(
         f"focal masses must be numbers, got {mass!r} on {FocalSet(frame, bits)!r}"
     )
 
 
-def _check_mass_sum(total: float):
-    if abs(total - 1.0) > MASS_SUM_TOLERANCE:
-        raise ValidationError(
-            f"masses sum to {total!r}, expected 1 within {MASS_SUM_TOLERANCE}"
-        )
+def _check_mass_sum(total: float, tolerance: float = MASS_SUM_TOLERANCE):
+    if abs(total - 1.0) > tolerance:
+        raise ValidationError(f"masses sum to {total!r}, expected 1 within {tolerance}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bba:
     """A basic belief assignment.
 
-    It stores bitmask -> mass pairs in canonical order (``focal_sort_key``),
-    with strictly positive masses that sum to one within
-    MASS_SUM_TOLERANCE. The empty set never appears, so no mass sits
-    outside the frame. ``entries`` gives the same pairs as (focal set,
-    mass), built on first access and then kept. Equality and hashing go
-    by the frame and the pairs.
+    It keeps one bitmask -> mass dict in canonical order
+    (``focal_sort_key``), with strictly positive masses that sum to one
+    within MASS_SUM_TOLERANCE. The empty set never appears, so no mass
+    sits outside the frame. ``entries`` gives the same pairs as (focal
+    set, mass), built on first access and then kept. Equality and hashing
+    go by the frame and the dict; the canonical order is a function of
+    the content, so equal dicts hash alike.
     """
 
     frame: Frame
-    _pairs: tuple[tuple[int, float], ...]
+    _by_bits: dict[int, float]
 
     def __init__(self, frame: Frame, entries: Iterable[tuple[FocalSet, float]]):
         ordered = sorted(entries, key=lambda e: _canonical_key(e[0].bits))
@@ -251,34 +256,46 @@ class Bba:
 
     @classmethod
     def _from_bits(
-        cls, frame: Frame, masses: Mapping[int, float], *, check_sum: bool = True
+        cls,
+        frame: Frame,
+        masses: Mapping[int, float],
+        *,
+        tolerance: float = MASS_SUM_TOLERANCE,
     ) -> Bba:
         """Trusted constructor for masses that are valid by construction.
 
         ``masses`` maps distinct non-empty bitmasks on ``frame`` to positive
-        finite masses. Only their sum is checked, in canonical order, and
-        not at all with ``check_sum=False``.
+        finite masses. Only their sum is checked, in canonical order,
+        against ``tolerance``.
         """
         by_bits = {bits: masses[bits] for bits in sorted(masses, key=_canonical_key)}
-        if check_sum:
-            total = 0.0
-            for mass in by_bits.values():
-                total += mass
-            _check_mass_sum(total)
+        total = 0.0
+        for mass in by_bits.values():
+            total += mass
+        _check_mass_sum(total, tolerance)
         bba = object.__new__(cls)
         bba._store(frame, by_bits)
         return bba
 
     def _store(self, frame: Frame, by_bits: dict[int, float]):
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_pairs", tuple(by_bits.items()))
         object.__setattr__(self, "_by_bits", by_bits)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.frame, self._by_bits) == (other.frame, other._by_bits)
+
+    def __hash__(self):
+        return hash((self.frame, tuple(self._by_bits.items())))
 
     @cached_property
     def entries(self) -> tuple[tuple[FocalSet, float], ...]:
         """(focal set, mass) pairs in canonical order."""
         frame = self.frame
-        return tuple((FocalSet(frame, bits), mass) for bits, mass in self._pairs)
+        return tuple(
+            (FocalSet(frame, bits), mass) for bits, mass in self._by_bits.items()
+        )
 
     @property
     def focal_sets(self) -> tuple[FocalSet, ...]:

@@ -19,6 +19,7 @@ full grammar and annotated examples.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 
@@ -103,7 +104,23 @@ def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     of range, mass-sum violation) name the offending BBA. With
     ``renormalize`` each BBA's masses are scaled to sum to one instead of
     being required to.
+
+    Parsing pauses the cyclic garbage collector and restores its prior
+    state on return, also when it raises. Everything the parse builds
+    stays reachable until it returns, so a collection could free nothing
+    and would only rescan it. The pause is process-wide; another thread
+    that re-enables the collector meanwhile costs only speed.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text, renormalize)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str, renormalize: bool) -> EvidenceDocument:
     try:
         raw = json.loads(
             text,
@@ -164,7 +181,7 @@ def serialize_document(document: EvidenceDocument) -> str:
         "bbas": {
             name: [
                 {"set": [labels[i] for i in _bit_positions(bits)], "mass": mass}
-                for bits, mass in bba._pairs
+                for bits, mass in bba._by_bits.items()
             ]
             for name, bba in document.bbas.items()
         },

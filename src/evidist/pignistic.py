@@ -12,7 +12,14 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Bba, FocalSet, Frame, _bit_positions, _check_same_frame
+from .core import (
+    MASS_SUM_TOLERANCE,
+    Bba,
+    FocalSet,
+    Frame,
+    _bit_positions,
+    _check_same_frame,
+)
 from .errors import FrameMismatchError
 
 
@@ -30,12 +37,18 @@ class BetPMode(Enum):
     FOCAL_SETS = "focal"
 
 
+# ppt's rounding can take a distribution's sum a little further from one
+# than the sum of the BBA it came from.
+_PPT_SUM_TOLERANCE = MASS_SUM_TOLERANCE + 1e-12
+
+
 @dataclass(frozen=True)
 class PignisticDistribution:
     """Probability over a frame's grades, indexed by 1-based position.
 
     This is ``ppt``'s result. It is a distribution because the BBA it
-    came from is one, so it is not checked again here.
+    came from is one, so it is not checked when built; ``to_bba`` checks
+    the sum of what it keeps.
     """
 
     frame: Frame
@@ -44,12 +57,13 @@ class PignisticDistribution:
     def to_bba(self) -> Bba:
         """The BBA carrying this distribution on singleton focal sets.
 
-        Its mass sum is not checked again: ``ppt`` of a valid BBA is a
-        distribution, even where rounding takes its sum a little further
-        from one than the BBA's own.
+        The positive probabilities become the masses. Their sum must be 1
+        within MASS_SUM_TOLERANCE plus a margin for ``ppt``'s rounding, so
+        ``ppt`` of a valid BBA always converts, and a hand-built
+        distribution that does not sum to one is rejected.
         """
         masses = {1 << i: p for i, p in enumerate(self.probabilities) if p > 0.0}
-        return Bba._from_bits(self.frame, masses, check_sum=False)
+        return Bba._from_bits(self.frame, masses, tolerance=_PPT_SUM_TOLERANCE)
 
 
 def ppt(bba: Bba) -> PignisticDistribution:
@@ -60,7 +74,7 @@ def ppt(bba: Bba) -> PignisticDistribution:
     out at construction, so no renormalization is needed here.
     """
     probabilities = [0.0] * bba.frame.size
-    for bits, mass in bba._pairs:
+    for bits, mass in bba._by_bits.items():
         share = mass / bits.bit_count()
         while bits:  # the set bits, lowest position first
             low = bits & -bits

@@ -333,15 +333,28 @@ class TestMassTypes:
             build_bba(frame, [(["Poor"], half), (["Low"], half)]),
             Bba(frame, [(poor, half), (low, half)]),
         ):
-            assert bba._pairs == ((1, 0.5), (2, 0.5))
-            assert all(type(mass) is float for _, mass in bba._pairs)
+            assert tuple(bba._by_bits.items()) == ((1, 0.5), (2, 0.5))
+            assert all(type(mass) is float for mass in bba._by_bits.values())
 
     def test_int_masses(self):
         frame = build_frame(GRADES)
         full = frame.full_set()
         for bba in (build_bba(frame, [(full, 1)]), Bba(frame, [(full, 1)])):
-            assert bba._pairs == ((full.bits, 1.0),)
-            assert type(bba._pairs[0][1]) is float
+            assert tuple(bba._by_bits.items()) == ((full.bits, 1.0),)
+            assert type(bba._by_bits[full.bits]) is float
+
+    @pytest.mark.parametrize(
+        "huge",
+        [10**400, Fraction(10**400, 1), 10**5000],
+        ids=["int", "Fraction", "int-past-digit-limit"],
+    )
+    def test_masses_too_large_for_a_float(self, huge):
+        frame = build_frame(GRADES)
+        message = r"^focal mass on \{Poor\} is too large for a float$"
+        with pytest.raises(ValidationError, match=message):
+            build_bba(frame, [(["Poor"], huge)])
+        with pytest.raises(ValidationError, match=message):
+            Bba(frame, [(frame.subset(["Poor"]), huge)])
 
 
 class TestVacuous:
@@ -404,7 +417,7 @@ def test_entries_are_canonically_ordered(size, data):
 
 
 class TestPackedBba:
-    """A Bba stores canonical (bits, mass) pairs and builds its FocalSets
+    """A Bba stores one canonical bits -> mass dict and builds its FocalSets
     only on demand; what it shows must be what the sorted-FocalSet
     construction gave."""
 
@@ -473,12 +486,12 @@ class TestPackedBba:
     def test_fields_cannot_be_assigned(self):
         frame = build_frame(GRADES)
         bba = build_bba(frame, [({1}, 1.0)])
-        for name, value in (("entries", ()), ("frame", make_frame(5)), ("_pairs", ())):
+        for name, value in (("entries", ()), ("frame", make_frame(5)), ("_by_bits", {})):
             with pytest.raises(FrozenInstanceError):
                 setattr(bba, name, value)
         with pytest.raises(FrozenInstanceError):
             del bba.frame
-        assert bba.frame is frame and bba._pairs == ((1, 1.0),)
+        assert bba.frame is frame and tuple(bba._by_bits.items()) == ((1, 1.0),)
 
     def test_copies_and_pickles_are_equal(self):
         frame = build_frame(GRADES)

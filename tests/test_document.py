@@ -1,5 +1,6 @@
 """Evidence document parsing, validation, and round-tripping."""
 
+import gc
 import io
 import json
 from pathlib import Path
@@ -246,3 +247,68 @@ def test_integer_mass_is_accepted():
     ((focal_set, mass),) = parse_document(text).bba("m").entries
     assert focal_set.labels == ("C",)
     assert type(mass) is float and mass == 1.0
+
+
+class TestCollectorPause:
+    """parse_document pauses the cyclic collector and leaves it as it was."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_after_a_parse(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        parse_document(SINGLETONS_TEXT)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"frame": ["A"]', id="syntax"),
+            pytest.param(
+                '{"frame": ["A", "B"], "bbas": {"m": [{"set": ["A"], "mass": 0.5}]}}',
+                id="mass-sum",
+            ),
+            pytest.param("[" * 100_000, id="deep-nesting"),
+            pytest.param(
+                '{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": %s}]}}'
+                % ("1" * 5000),
+                id="5000-digit-integer",
+            ),
+        ],
+    )
+    def test_state_after_a_rejected_document(self, enabled, text):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(DocumentError):
+            parse_document(text)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_starts_during_a_parse(self):
+        labels = [f"g{i}" for i in range(20)]
+        bbas = {
+            f"m{i}": [
+                {"set": [labels[i % 20]], "mass": 0.5},
+                {"set": [1 + i % 7, 2 + i % 11], "mass": 0.25},
+                {"set": labels[:3], "mass": 0.25},
+            ]
+            for i in range(3000)
+        }
+        text = json.dumps({"frame": labels, "bbas": bbas})
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            document = parse_document(text)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(document.bbas) == 3000
+        assert starts == []

@@ -20,8 +20,14 @@ from evidist.combination import combine_dempster
 from evidist.core import build_bba, build_frame, vacuous_bba
 from evidist.distance import red_distance
 from evidist.document import parse_document
-from evidist.errors import FrameMismatchError, TotalConflictError
-from evidist.pignistic import BetPMode, betp_of_subset, dif_betp, ppt
+from evidist.errors import FrameMismatchError, TotalConflictError, ValidationError
+from evidist.pignistic import (
+    BetPMode,
+    PignisticDistribution,
+    betp_of_subset,
+    dif_betp,
+    ppt,
+)
 from evidist.repro import sweep_bbas
 
 
@@ -60,6 +66,12 @@ class TestPpt:
         bba = build_bba(frame, [({1, 2}, 0.5), ({3}, 0.5)])
         singleton_bba = ppt(bba).to_bba()
         assert ppt(singleton_bba).probabilities == ppt(bba).probabilities
+
+    @pytest.mark.parametrize("probabilities", [(0.5, 0.2), (1.5, -0.5)])
+    def test_to_bba_rejects_what_is_not_a_distribution(self, probabilities):
+        distribution = PignisticDistribution(build_frame(["A", "B"]), probabilities)
+        with pytest.raises(ValidationError, match="masses sum to"):
+            distribution.to_bba()
 
 
 class TestBetpOfSubset:
@@ -233,6 +245,11 @@ class TestMassSumAtTolerance:
         assert red_distance(m, r) == pytest.approx(0.3813, abs=1e-4)
         for mode in BetPMode:
             assert 0.0 <= dif_betp(m, r, mode) <= 1.0
+
+    @given(size=st.integers(1, 64), data=st.data())
+    def test_every_ppt_converts_to_a_bba(self, size, data):
+        bba = data.draw(bbas_off_unit_sum(make_frame(size)))
+        ppt(bba).to_bba()
 
     @given(size=st.integers(1, 8), data=st.data())
     def test_nothing_computed_fails_validation(self, size, data):
