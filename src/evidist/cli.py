@@ -19,7 +19,7 @@ from typing import IO, Optional, Sequence
 from . import repro
 from .combination import combine_all
 from .distance import DistanceMeasure
-from .document import EvidenceDocument, parse_document
+from .document import EvidenceDocument, _CollectorPause, parse_document
 from .errors import DocumentError, EvidenceError, ValidationError
 from .pignistic import ppt
 from .ranking import rank_by_distance
@@ -234,7 +234,14 @@ def run_cli(
     stdout: Optional[IO[str]] = None,
     stderr: Optional[IO[str]] = None,
 ) -> int:
-    """Run one CLI invocation and return its exit status."""
+    """Run one CLI invocation and return its exit status.
+
+    The command runs, and its output is written, with the cyclic garbage
+    collector paused; the collector's prior state is restored on every
+    exit. A collection during a command could only rescan the document
+    the command holds, and by the time the collector resumes, reference
+    counting has freed it.
+    """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
@@ -248,6 +255,11 @@ def run_cli(
     if args.command is None:
         print("evidist: missing command (see evidist --help)", file=err)
         return EXIT_USAGE
+    with _CollectorPause():
+        return _run_command(args, out, err)
+
+
+def _run_command(args, out: IO[str], err: IO[str]) -> int:
     try:
         fields, rows = _COMMANDS[args.command](args)
     except _UsageError as exc:

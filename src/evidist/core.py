@@ -88,6 +88,9 @@ class Frame:
         raise ValidationError(f"invalid frame member {member!r}")
 
     def label(self, index: int) -> str:
+        """The label at a 1-based position."""
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise ValidationError(f"invalid frame member {index!r}")
         if not 1 <= index <= self.size:
             raise ValidationError(f"index {index} out of range 1..{self.size}")
         return self.labels[index - 1]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 from dataclasses import dataclass
 
 from .core import Bba, Frame, _bit_positions, build_bba, build_frame
@@ -94,6 +95,25 @@ def _reject_duplicate_keys(pairs: list) -> dict:
     return mapping
 
 
+class _CollectorPause:
+    """``with _CollectorPause():`` pauses the cyclic garbage collector and
+    restores its prior state on exit, also when the body raises.
+
+    The pause is process-wide. A collector that was already off stays
+    off, and another thread that re-enables it meanwhile costs only
+    speed. Re-enabling is the last thing ``__exit__`` does, so no
+    collection can start before the body's caller resumes.
+    """
+
+    def __enter__(self):
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self._enabled:
+            gc.enable()
+
+
 def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     """Parse document text into a validated frame plus named BBAs.
 
@@ -105,19 +125,53 @@ def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     ``renormalize`` each BBA's masses are scaled to sum to one instead of
     being required to.
 
+    A BBA whose entries are all regular (exactly ``set`` and ``mass``, a
+    positive finite float mass, a non-empty set of labels and positions
+    the frame holds) is resolved to bitmasks in one pass; any other BBA,
+    and every BBA under ``renormalize``, goes through ``build_bba``. Both
+    routes give the same masses, checks and messages.
+
     Parsing pauses the cyclic garbage collector and restores its prior
     state on return, also when it raises. Everything the parse builds
     stays reachable until it returns, so a collection could free nothing
     and would only rescan it. The pause is process-wide; another thread
     that re-enables the collector meanwhile costs only speed.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _CollectorPause():
         return _parse(text, renormalize)
-    finally:
-        if enabled:
-            gc.enable()
+
+
+def _regular_masses(table: dict, entry_list: list) -> dict[int, float] | None:
+    """Merged bitmask -> mass of a BBA whose entries are all regular, or
+    None at the first entry that is not.
+
+    ``table`` is the frame's member -> bit table. Masses merge as in
+    ``build_bba``, so the result is the dict it would pass to
+    ``Bba._from_bits``.
+    """
+    masses: dict[int, float] = {}
+    for entry in entry_list:
+        if type(entry) is not dict or len(entry) != 2:
+            return None
+        mass = entry.get("mass")
+        members = entry.get("set")
+        if (
+            type(mass) is not float
+            or not 0.0 < mass < math.inf
+            or type(members) is not list
+            or not members
+            # Exact types only: True and 1.0 hash like 1.
+            or not _MEMBER_TYPES.issuperset(map(type, members))
+        ):
+            return None
+        bits = 0
+        try:
+            for member in members:
+                bits |= table[member]
+        except KeyError:  # unknown label, position 0 or N+1
+            return None
+        masses[bits] = masses.get(bits, 0.0) + mass
+    return masses
 
 
 def _parse(text: str, renormalize: bool) -> EvidenceDocument:
@@ -145,29 +199,24 @@ def _parse(text: str, renormalize: bool) -> EvidenceDocument:
         raise DocumentError(f"frame: {exc}") from exc
     if not isinstance(raw["bbas"], dict):
         raise DocumentError("'bbas' must be an object mapping names to entry lists")
+    table = frame._bits
     bbas: dict[str, Bba] = {}
     for name, entry_list in raw["bbas"].items():
         if not isinstance(entry_list, list):
             raise DocumentError(f"bba {name!r} must be a list of entries")
-        entries = []
-        for position, entry in enumerate(entry_list):
-            # A well-formed entry passes one inline test; any other goes
-            # through _parse_entry, which names what is wrong with it.
-            if (
-                type(entry) is dict
-                and len(entry) == 2
-                and type(entry.get("mass")) is float
-                and type(members := entry.get("set")) is list
-                and members
-                and _MEMBER_TYPES.issuperset(map(type, members))
-            ):
-                entries.append((members, entry["mass"]))
-            else:
-                entries.append(
-                    _parse_entry(entry, f"bba {name!r}, entry {position + 1}")
-                )
+        masses = None if renormalize else _regular_masses(table, entry_list)
+        if masses is None:
+            # _parse_entry names what is wrong with an entry; build_bba
+            # checks the rest, in the order it always has.
+            entries = [
+                _parse_entry(entry, f"bba {name!r}, entry {position + 1}")
+                for position, entry in enumerate(entry_list)
+            ]
         try:
-            bbas[name] = build_bba(frame, entries, renormalize=renormalize)
+            if masses is None:
+                bbas[name] = build_bba(frame, entries, renormalize=renormalize)
+            else:
+                bbas[name] = Bba._from_bits(frame, masses)
         except ValidationError as exc:
             raise DocumentError(f"bba {name!r}: {exc}") from exc
     return EvidenceDocument(frame, bbas)

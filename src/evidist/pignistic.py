@@ -8,6 +8,7 @@ distribution; ``dif_betp`` measures how far apart two BBAs can bet.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +21,7 @@ from .core import (
     _bit_positions,
     _check_same_frame,
 )
-from .errors import FrameMismatchError
+from .errors import FrameMismatchError, ValidationError
 
 
 class BetPMode(Enum):
@@ -48,7 +49,7 @@ class PignisticDistribution:
 
     This is ``ppt``'s result. It is a distribution because the BBA it
     came from is one, so it is not checked when built; ``to_bba`` checks
-    the sum of what it keeps.
+    what it converts.
     """
 
     frame: Frame
@@ -57,13 +58,33 @@ class PignisticDistribution:
     def to_bba(self) -> Bba:
         """The BBA carrying this distribution on singleton focal sets.
 
+        There must be one probability per grade, and each must be finite.
         The positive probabilities become the masses. Their sum must be 1
         within MASS_SUM_TOLERANCE plus a margin for ``ppt``'s rounding, so
         ``ppt`` of a valid BBA always converts, and a hand-built
-        distribution that does not sum to one is rejected.
+        distribution that does not sum to one is rejected. The rest must
+        be zeros: a negative probability is rejected even where the
+        positive ones sum to one.
         """
-        masses = {1 << i: p for i, p in enumerate(self.probabilities) if p > 0.0}
-        return Bba._from_bits(self.frame, masses, tolerance=_PPT_SUM_TOLERANCE)
+        frame, probabilities = self.frame, self.probabilities
+        if len(probabilities) != frame.size:
+            raise ValidationError(
+                f"distribution has {len(probabilities)} probabilities "
+                f"for a frame of {frame.size} grades"
+            )
+        for label, p in zip(frame.labels, probabilities):
+            if not math.isfinite(p):
+                raise ValidationError(
+                    f"probability of grade {label!r} must be finite, got {p!r}"
+                )
+        masses = {1 << i: p for i, p in enumerate(probabilities) if p > 0.0}
+        bba = Bba._from_bits(frame, masses, tolerance=_PPT_SUM_TOLERANCE)
+        for label, p in zip(frame.labels, probabilities):
+            if p < 0.0:
+                raise ValidationError(
+                    f"probability of grade {label!r} must be nonnegative, got {p!r}"
+                )
+        return bba
 
 
 def ppt(bba: Bba) -> PignisticDistribution:

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, diagnostics."""
 
+import gc
 import io
 import json
 import os
@@ -298,6 +299,70 @@ class TestRepro:
         json_first = cli("--format", "json", "repro", "sweep")
         json_second = cli("--format", "json", "repro", "sweep")
         assert json_first == json_second
+
+
+class TestCollectorPause:
+    """run_cli pauses the cyclic collector for the whole command and
+    leaves it as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            (["rank", "{singletons}", "--reference", "m1"], 0),
+            (["dist", "{singletons}", "--pair", "a"], 1),
+            (["ppt", "{singletons}", "--bba", "m9"], 2),
+            (["validate", "{missing}"], 2),
+            (["combine", "{singletons}", "--bbas", "m1,m2"], 3),
+        ],
+        ids=["exit-0", "exit-1", "exit-2", "exit-2-missing-file", "exit-3"],
+    )
+    def test_state_after_a_command(self, enabled, argv, status, singletons_file, tmp_path):
+        paths = {"singletons": singletons_file, "missing": str(tmp_path / "none.json")}
+        argv = [arg.format(**paths) for arg in argv]
+        (gc.enable if enabled else gc.disable)()
+        assert cli(*argv)[0] == status
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_starts_during_a_rank(self, tmp_path):
+        labels = [f"g{i}" for i in range(20)]
+        bbas = {
+            f"m{i}": [
+                {"set": [labels[i % 20]], "mass": 0.5},
+                {"set": [1 + i % 7, 2 + i % 11], "mass": 0.25},
+                {"set": labels[:3], "mass": 0.25},
+            ]
+            for i in range(2000)
+        }
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"frame": labels, "bbas": bbas}), encoding="utf-8")
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        for measure in ("red", "jousselme", "betp"):
+            argv = ["rank", str(path), "--reference", "m0", "--measure", measure]
+            out, err = io.StringIO(), io.StringIO()
+            # Only collections that start inside run_cli count: the first
+            # allocation after it returns may start one.
+            gc.collect()
+            gc.callbacks.append(record)
+            try:
+                code = run_cli(argv, stdout=out, stderr=err)
+            finally:
+                gc.callbacks.remove(record)
+            assert code == 0
+            assert out.getvalue().count("\n") == 2001
+        assert starts == []
 
 
 REPO = Path(__file__).resolve().parents[1]

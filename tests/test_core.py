@@ -103,6 +103,26 @@ class TestSubsetLookup:
             with pytest.raises(ValidationError, match=expected):
                 frame.subset(members)
 
+    @pytest.mark.parametrize(
+        "index,message",
+        [
+            (True, "invalid frame member True"),
+            (False, "invalid frame member False"),
+            (1.0, "invalid frame member 1.0"),
+            ("1", "invalid frame member '1'"),
+            (None, "invalid frame member None"),
+            (0, "index 0 out of range 1..5"),
+            (6, "index 6 out of range 1..5"),
+        ],
+    )
+    def test_label_rejects_what_index_of_rejects(self, index, message):
+        frame = build_frame(GRADES)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            frame.label(index)
+        if not isinstance(index, str):  # index_of reads a str as a label
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                frame.index_of(index)
+
     def test_true_is_not_position_one(self):
         frame = build_frame(GRADES)
         assert frame.subset([1]).bits == 1

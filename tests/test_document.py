@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import bbas_on, make_frame
 from evidist.cli import run_cli
-from evidist.core import mass_of
-from evidist.document import EvidenceDocument, parse_document, serialize_document
+from evidist import document as document_module
+from evidist.core import build_bba, build_frame, mass_of
+from evidist.document import (
+    EvidenceDocument,
+    _regular_masses,
+    parse_document,
+    serialize_document,
+)
 from evidist.errors import DocumentError
 
 DOCS_EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -247,6 +253,134 @@ def test_integer_mass_is_accepted():
     ((focal_set, mass),) = parse_document(text).bba("m").entries
     assert focal_set.labels == ("C",)
     assert type(mass) is float and mass == 1.0
+
+
+def _hex_masses(bba):
+    return [(bits, mass.hex()) for bits, mass in bba._by_bits.items()]
+
+
+@st.composite
+def regular_entry_lists(draw, frame):
+    """Regular entries with float masses summing to one. Sets are spelled
+    by labels and positions mixed, may repeat a member, and the first set
+    is spelled again in a last entry, so masses merge."""
+    space = (1 << frame.size) - 1
+    sets = draw(st.lists(st.integers(1, space), min_size=1, max_size=6))
+    sets.append(sets[0])
+    weights = [draw(st.integers(1, 100)) for _ in sets]
+    total = sum(weights)
+    entries = []
+    for bits, weight in zip(sets, weights):
+        positions = [i + 1 for i in range(frame.size) if bits >> i & 1]
+        positions += draw(st.lists(st.sampled_from(positions), max_size=2))
+        positions = draw(st.permutations(positions))
+        members = [draw(st.sampled_from((p, frame.label(p)))) for p in positions]
+        entries.append({"set": members, "mass": weight / total})
+    return entries
+
+
+@given(size=st.integers(1, 8), data=st.data())
+def test_regular_entries_match_build_bba(size, data):
+    frame = make_frame(size)
+    bbas = {name: data.draw(regular_entry_lists(frame)) for name in ("a", "b", "c")}
+    document = parse_document(json.dumps({"frame": list(frame.labels), "bbas": bbas}))
+    for name, entries in bbas.items():
+        assert _regular_masses(frame._bits, entries) is not None
+        expected = build_bba(frame, [(e["set"], e["mass"]) for e in entries])
+        assert _hex_masses(document.bba(name)) == _hex_masses(expected)
+
+
+# BBA 'm' on frame A, B, C as entry-list JSON, with the exit status and
+# stderr of `validate` on it. None of these lists is regular, so each goes
+# through _parse_entry and build_bba, which report as they always have.
+_IRREGULAR_BBAS = {
+    "zero-mass": (
+        '[{"set": ["A"], "mass": 0.0}]',
+        2,
+        "bba 'm': masses sum to 0.0, expected 1 within 1e-09",
+    ),
+    "zero-mass-dropped": (
+        '[{"set": ["A"], "mass": 0.0}, {"set": ["B"], "mass": 1.0}]',
+        0,
+        "",
+    ),
+    "negative-mass": (
+        '[{"set": ["A"], "mass": -0.5}, {"set": ["B"], "mass": 1.5}]',
+        2,
+        "bba 'm': focal masses must be nonnegative, got -0.5 on {A}",
+    ),
+    "overflowing-mass": (
+        '[{"set": ["A"], "mass": 1e999}]',
+        2,
+        "bba 'm': focal masses must be finite, got inf on {A}",
+    ),
+    "integer-mass": ('[{"set": ["A"], "mass": 1}]', 0, ""),
+    "empty-set": (
+        '[{"set": ["A"], "mass": 0.5}, {"set": [], "mass": 0.5}]',
+        2,
+        "bba 'm', entry 2: 'set' must be a non-empty list",
+    ),
+    "irregular-before-regular": (
+        '[{"set": ["Z"], "mass": 0.5}, {"set": ["B"], "mass": 0.5}]',
+        2,
+        "bba 'm': unknown label 'Z'",
+    ),
+    # The malformed second entry is found before the first one's position.
+    "shape-before-value": (
+        '[{"set": [4], "mass": 0.5}, {"set": ["B"], "mass": "0.5"}]',
+        2,
+        "bba 'm', entry 2: 'mass' must be a number, got '0.5'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IRREGULAR_BBAS))
+def test_irregular_bbas_take_the_checked_route(case, tmp_path, monkeypatch):
+    entries, status, message = _IRREGULAR_BBAS[case]
+    frame = build_frame(["A", "B", "C"])
+    assert _regular_masses(frame._bits, json.loads(entries)) is None
+    built = []
+    monkeypatch.setattr(
+        document_module,
+        "build_bba",
+        lambda *args, **kwargs: built.append(args) or build_bba(*args, **kwargs),
+    )
+    path = tmp_path / "doc.json"
+    text = '{"frame": ["A", "B", "C"], "bbas": {"m": %s}}' % entries
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(["validate", str(path)], stdout=out, stderr=err) == status
+    assert err.getvalue() == (f"evidist: {message}\n" if message else "")
+    # Only an entry of the wrong shape stops the parse before build_bba.
+    assert len(built) == (0 if "entry 2" in message else 1)
+
+
+def test_entry_key_order_does_not_matter():
+    text = (
+        '{"frame": ["A", "B"], "bbas": {'
+        '"m": [{"set": ["A"], "mass": 0.25}, {"set": [1, 2], "mass": 0.75}], '
+        '"n": [{"mass": 0.25, "set": ["A"]}, {"mass": 0.75, "set": [1, 2]}]}}'
+    )
+    document = parse_document(text)
+    assert _hex_masses(document.bba("m")) == _hex_masses(document.bba("n"))
+    assert _regular_masses(document.frame._bits, json.loads(text)["bbas"]["n"]) == {
+        1: 0.25,
+        3: 0.75,
+    }
+
+
+def test_renormalize_takes_the_checked_route(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        document_module,
+        "build_bba",
+        lambda *args, **kwargs: built.append(kwargs) or build_bba(*args, **kwargs),
+    )
+    parse_document(SINGLETONS_TEXT, renormalize=True)
+    assert built == [{"renormalize": True}] * 3
+    built.clear()
+    parse_document(SINGLETONS_TEXT)
+    assert built == []
 
 
 class TestCollectorPause:

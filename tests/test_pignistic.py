@@ -1,6 +1,7 @@
 """Pignistic transformation and betting-commitment distances."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,23 @@ class TestPpt:
     def test_to_bba_rejects_what_is_not_a_distribution(self, probabilities):
         distribution = PignisticDistribution(build_frame(["A", "B"]), probabilities)
         with pytest.raises(ValidationError, match="masses sum to"):
+            distribution.to_bba()
+
+
+    @pytest.mark.parametrize(
+        "probabilities,message",
+        [
+            ((0.5, 0.25, 0.25), "distribution has 3 probabilities for a frame of 2 grades"),
+            ((1.0,), "distribution has 1 probabilities for a frame of 2 grades"),
+            ((1.0, float("nan")), "probability of grade 'B' must be finite, got nan"),
+            ((float("inf"), 0.0), "probability of grade 'A' must be finite, got inf"),
+            ((1.0, -0.5), "probability of grade 'B' must be nonnegative, got -0.5"),
+        ],
+        ids=["too-long", "too-short", "nan", "infinite", "negative"],
+    )
+    def test_to_bba_rejects_malformed_probabilities(self, probabilities, message):
+        distribution = PignisticDistribution(build_frame(["A", "B"]), probabilities)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             distribution.to_bba()
 
 
