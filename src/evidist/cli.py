@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 from typing import IO, Optional, Sequence
 
-from . import repro
 from .combination import combine_all
 from .distance import DistanceMeasure
 from .document import EvidenceDocument, _CollectorPause, parse_document
@@ -187,6 +186,10 @@ def _cmd_rank(args):
 
 
 def _cmd_repro(args):
+    # Imported here: no other command uses it, and each CLI process
+    # compiles what it imports.
+    from . import repro
+
     if args.report == "examples":
         rows = repro.comparison_rows()
         return ["case", "bba_1", "bba_2", "measure", "computed", "expected", "match"], rows

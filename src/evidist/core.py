@@ -7,14 +7,22 @@ non-empty subsets of its frame, summing to one. A ``Bba`` keeps one
 canonical bitmask -> mass dict; ``FocalSet`` objects are built from it
 only when something asks for ``entries`` or ``focal_sets``, which is
 display.
+
+The package's value types are plain classes on ``_Frozen``, not
+dataclasses: the ``dataclasses`` module, with the ``inspect`` and ``ast``
+it loads, would cost every CLI process several milliseconds. They
+compare, hash, print, copy and pickle as frozen dataclasses do, and
+assigning or deleting an attribute raises
+``dataclasses.FrozenInstanceError``; ``dataclasses.fields``, ``replace``
+and ``asdict`` do not apply to them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Union
 
 from .errors import FrameMismatchError, ValidationError
@@ -30,26 +38,80 @@ _TEXT_TYPES = (str, bytes, bytearray)
 _NOT_MASS_TYPES = (*_TEXT_TYPES, bool)
 
 
-@dataclass(frozen=True)
-class Frame:
+def _text_error(value, name: str, items: str) -> ValidationError:
+    message = f"{name} {value!r} is a {type(value).__name__}, not a collection of {items}"
+    if isinstance(value, str):
+        message += f"; write [{value!r}] for one label"
+    return ValidationError(message)
+
+
+def _frozen_error(message: str) -> Exception:
+    # Imported on this error path only: loading dataclasses costs every
+    # CLI process several milliseconds.
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)
+
+
+class _Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its fields in ``_fields``, and its ``__init__``
+    writes them, and anything derived from them, into ``__dict__``.
+    Equality and hashing go by the field values, between instances of
+    the same class; the repr is ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._fields
+        # Not a descriptor: ``self._key(self)`` gets the field values.
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise _frozen_error(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _frozen_error(f"cannot delete field {name!r}")
+
+
+class Frame(_Frozen):
     """An ordered frame of discernment.
 
     The label order is semantic: the position distance between two grades
     is what the order-aware distance measure feeds on. Positions are
     1-based. Labels may not contain ',', '{' or '}', the characters a
-    focal set's display uses.
+    focal set's display uses. Any iterable of labels but a bare str or
+    bytes is accepted and kept as a tuple.
     """
 
-    labels: tuple[str, ...]
+    _fields = ("labels",)
 
-    def __post_init__(self):
-        if not self.labels:
+    def __init__(self, labels: Iterable[str]):
+        if isinstance(labels, _TEXT_TYPES):
+            raise _text_error(labels, "frame", "labels")
+        labels = tuple(labels)
+        if not labels:
             raise ValidationError("a frame needs at least one label")
-        if len(self.labels) > MAX_FRAME_SIZE:
+        if len(labels) > MAX_FRAME_SIZE:
             raise ValidationError(
-                f"frame has {len(self.labels)} labels, maximum is {MAX_FRAME_SIZE}"
+                f"frame has {len(labels)} labels, maximum is {MAX_FRAME_SIZE}"
             )
-        for label in self.labels:
+        for label in labels:
             if not isinstance(label, str):
                 raise ValidationError(f"labels must be strings, got {label!r}")
             if "," in label or "{" in label or "}" in label:
@@ -57,14 +119,16 @@ class Frame:
                     f"label {label!r} contains ',', '{{' or '}}', "
                     "which would make set displays ambiguous"
                 )
-        if len(set(self.labels)) != len(self.labels):
-            dupes = sorted({x for x in self.labels if self.labels.count(x) > 1})
+        if len(set(labels)) != len(labels):
+            dupes = sorted({x for x in labels if labels.count(x) > 1})
             raise ValidationError("duplicate labels: " + ", ".join(dupes))
         # Each label and each 1-based position to its bit. A str key never
         # equals an int key, so the two spellings share one table.
-        bits = {x: 1 << i for i, x in enumerate(self.labels)}
-        bits.update((i + 1, 1 << i) for i in range(len(self.labels)))
-        object.__setattr__(self, "_bits", bits)
+        bits = {x: 1 << i for i, x in enumerate(labels)}
+        bits.update((i + 1, 1 << i) for i in range(len(labels)))
+        d = self.__dict__
+        d["labels"] = labels
+        d["_bits"] = bits
 
     @property
     def size(self) -> int:
@@ -102,13 +166,7 @@ class Frame:
     def _mask(self, members: Iterable[Member]) -> int:
         """The non-empty bitmask of labels and/or 1-based positions."""
         if type(members) is not list and isinstance(members, _TEXT_TYPES):
-            message = (
-                f"set {members!r} is a {type(members).__name__}, "
-                "not a collection of labels or positions"
-            )
-            if isinstance(members, str):
-                message += f"; write [{members!r}] for one label"
-            raise ValidationError(message)
+            raise _text_error(members, "set", "labels or positions")
         table = self._bits
         bits = 0
         for member in members:
@@ -129,8 +187,7 @@ class Frame:
         return FocalSet(self, (1 << self.size) - 1)
 
 
-@dataclass(frozen=True)
-class FocalSet:
+class FocalSet(_Frozen):
     """A non-empty subset of a frame, stored as a bitmask over positions.
 
     Bit ``i - 1`` is set exactly when position ``i`` belongs to the set,
@@ -138,14 +195,16 @@ class FocalSet:
     for frames up to MAX_FRAME_SIZE elements.
     """
 
-    frame: Frame
-    bits: int
+    _fields = ("frame", "bits")
 
-    def __post_init__(self):
-        if self.bits <= 0:
+    def __init__(self, frame: Frame, bits: int):
+        if bits <= 0:
             raise ValidationError("a focal set must be non-empty")
-        if self.bits >> self.frame.size:
+        if bits >> frame.size:
             raise ValidationError("focal set has members outside its frame")
+        d = self.__dict__
+        d["frame"] = frame
+        d["bits"] = bits
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -219,8 +278,7 @@ def _check_mass_sum(total: float, tolerance: float = MASS_SUM_TOLERANCE):
         raise ValidationError(f"masses sum to {total!r}, expected 1 within {tolerance}")
 
 
-@dataclass(frozen=True, eq=False)
-class Bba:
+class Bba(_Frozen):
     """A basic belief assignment.
 
     It keeps one bitmask -> mass dict in canonical order
@@ -232,8 +290,7 @@ class Bba:
     the content, so equal dicts hash alike.
     """
 
-    frame: Frame
-    _by_bits: dict[int, float]
+    _fields = ("frame", "_by_bits")
 
     def __init__(self, frame: Frame, entries: Iterable[tuple[FocalSet, float]]):
         ordered = sorted(entries, key=lambda e: _canonical_key(e[0].bits))
@@ -281,8 +338,9 @@ class Bba:
         return bba
 
     def _store(self, frame: Frame, by_bits: dict[int, float]):
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_by_bits", by_bits)
+        d = self.__dict__
+        d["frame"] = frame
+        d["_by_bits"] = by_bits
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -317,7 +375,7 @@ def _check_same_frame(m1: Bba, m2: Bba):
 
 def build_frame(labels: Iterable[str]) -> Frame:
     """Build a frame whose grade order is the given label order."""
-    return Frame(tuple(labels))
+    return Frame(labels)
 
 
 SetLike = Union[FocalSet, Iterable[Member]]

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
 from operator import sub
 from typing import Optional
 
-from .core import Bba, FocalSet, _check_same_frame
+from .core import Bba, FocalSet, _check_same_frame, _Frozen
 from .errors import FrameMismatchError, NumericalError, ValidationError
 from .pignistic import BetPMode, _betp_against, ppt
 
@@ -152,23 +151,24 @@ def red_reduces_to_jousselme(m1: Bba, m2: Bba) -> tuple[float, float]:
 _MEASURE_KINDS = ("jousselme", "betp", "red")
 
 
-@dataclass(frozen=True)
-class DistanceMeasure:
+class DistanceMeasure(_Frozen):
     """A selectable BBA distance: jousselme, betp (with a scan mode), or red."""
 
-    kind: str
-    mode: Optional[BetPMode] = None
+    _fields = ("kind", "mode")
 
-    def __post_init__(self):
-        if self.kind not in _MEASURE_KINDS:
+    def __init__(self, kind: str, mode: Optional[BetPMode] = None):
+        if kind not in _MEASURE_KINDS:
             raise ValidationError(
-                f"unknown measure {self.kind!r} (use one of {', '.join(_MEASURE_KINDS)})"
+                f"unknown measure {kind!r} (use one of {', '.join(_MEASURE_KINDS)})"
             )
-        if self.kind == "betp":
-            if self.mode is None:
-                object.__setattr__(self, "mode", BetPMode.ALL_SUBSETS)
-        elif self.mode is not None:
-            raise ValidationError(f"measure {self.kind!r} does not take a mode")
+        if kind == "betp":
+            if mode is None:
+                mode = BetPMode.ALL_SUBSETS
+        elif mode is not None:
+            raise ValidationError(f"measure {kind!r} does not take a mode")
+        d = self.__dict__
+        d["kind"] = kind
+        d["mode"] = mode
 
     @classmethod
     def parse(cls, text: str) -> "DistanceMeasure":

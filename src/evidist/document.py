@@ -22,9 +22,8 @@ from __future__ import annotations
 import gc
 import json
 import math
-from dataclasses import dataclass
 
-from .core import Bba, Frame, _bit_positions, build_bba, build_frame
+from .core import Bba, Frame, _bit_positions, _Frozen, build_bba, build_frame
 from .errors import DocumentError, ValidationError
 
 
@@ -42,12 +41,15 @@ def _require_keys(mapping, expected: tuple[str, ...], context: str):
         raise DocumentError(f"{context} has unknown key(s): {', '.join(extra)}")
 
 
-@dataclass(frozen=True)
-class EvidenceDocument:
+class EvidenceDocument(_Frozen):
     """A parsed document: the frame and its named BBAs, in document order."""
 
-    frame: Frame
-    bbas: dict[str, Bba]
+    _fields = ("frame", "bbas")
+
+    def __init__(self, frame: Frame, bbas: dict[str, Bba]):
+        d = self.__dict__
+        d["frame"] = frame
+        d["bbas"] = bbas
 
     def bba(self, name: str) -> Bba:
         try:

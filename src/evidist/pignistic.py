@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
@@ -20,6 +19,7 @@ from .core import (
     Frame,
     _bit_positions,
     _check_same_frame,
+    _Frozen,
 )
 from .errors import FrameMismatchError, ValidationError
 
@@ -43,8 +43,7 @@ class BetPMode(Enum):
 _PPT_SUM_TOLERANCE = MASS_SUM_TOLERANCE + 1e-12
 
 
-@dataclass(frozen=True)
-class PignisticDistribution:
+class PignisticDistribution(_Frozen):
     """Probability over a frame's grades, indexed by 1-based position.
 
     This is ``ppt``'s result. It is a distribution because the BBA it
@@ -52,8 +51,12 @@ class PignisticDistribution:
     what it converts.
     """
 
-    frame: Frame
-    probabilities: tuple[float, ...]
+    _fields = ("frame", "probabilities")
+
+    def __init__(self, frame: Frame, probabilities: tuple[float, ...]):
+        d = self.__dict__
+        d["frame"] = frame
+        d["probabilities"] = probabilities
 
     def to_bba(self) -> Bba:
         """The BBA carrying this distribution on singleton focal sets.

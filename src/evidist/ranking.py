@@ -3,31 +3,38 @@
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from typing import Union
 
-from .core import Bba
+from .core import Bba, _Frozen
 from .distance import DistanceMeasure
 from .errors import FrameMismatchError, ValidationError
 
 TIE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class RankedCandidate:
-    name: str
-    distance: float
-    rank: int
-    tied: bool
+class RankedCandidate(_Frozen):
+    """One ranked candidate: its distance, 1-based rank and tie flag."""
+
+    _fields = ("name", "distance", "rank", "tied")
+
+    def __init__(self, name: str, distance: float, rank: int, tied: bool):
+        d = self.__dict__
+        d["name"] = name
+        d["distance"] = distance
+        d["rank"] = rank
+        d["tied"] = tied
 
 
-@dataclass(frozen=True)
-class RankingResult:
+class RankingResult(_Frozen):
     """Candidates in ascending distance order, ranked 1..K."""
 
-    measure: str
-    reference: str
-    entries: tuple[RankedCandidate, ...]
+    _fields = ("measure", "reference", "entries")
+
+    def __init__(self, measure: str, reference: str, entries: tuple[RankedCandidate, ...]):
+        d = self.__dict__
+        d["measure"] = measure
+        d["reference"] = reference
+        d["entries"] = entries
 
 
 Candidates = Union[Mapping[str, Bba], Sequence[tuple[str, Bba]]]

@@ -422,6 +422,38 @@ def test_runs_without_numpy():
     assert result.stdout == "ok\n"
 
 
+LEAN_IMPORT_SCRIPT = """
+import io, sys
+import evidist.cli
+
+code = evidist.cli.run_cli(["validate", sys.argv[1]], stdout=io.StringIO())
+assert code == 0, code
+print(" ".join(sorted(
+    name for name in ("dataclasses", "inspect", "ast", "dis", "tokenize", "evidist.repro")
+    if name in sys.modules
+)))
+"""
+
+
+def test_validate_loads_no_dataclasses_and_no_repro():
+    # Each CLI process pays for every module it loads; dataclasses pulls in
+    # inspect, ast, dis and tokenize, and only the repro command needs repro.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    document = REPO / "docs" / "examples" / "grades_pairs.json"
+    result = subprocess.run(
+        [sys.executable, "-c", LEAN_IMPORT_SCRIPT, str(document)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -20,6 +20,7 @@ from evidist.core import (
     MASS_SUM_TOLERANCE,
     Bba,
     FocalSet,
+    Frame,
     _canonical_key,
     _check_same_frame,
     build_bba,
@@ -75,6 +76,29 @@ class TestBuildFrame:
     def test_other_punctuation_allowed(self):
         frame = build_frame(["a b", "c;d", "(e)", "f|g", "[h]"])
         assert repr(frame.subset([1, 4])) == "{a b,f|g}"
+
+    @pytest.mark.parametrize("make", [Frame, build_frame], ids=["Frame", "build_frame"])
+    def test_labels_are_kept_as_a_tuple(self, make):
+        labels = ["a", "b"]
+        frame = make(labels)
+        labels.append("c")
+        assert frame.labels == ("a", "b") and frame.size == 2
+        assert hash(frame) == hash(Frame(("a", "b")))
+        assert hash(build_bba(frame, [(["b"], 1.0)])) is not None
+        assert make(label for label in "xyz").labels == ("x", "y", "z")
+
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            ("ab", "frame 'ab' is a str, not a collection of labels; write ['ab'] for one label"),
+            (b"ab", "frame b'ab' is a bytes, not a collection of labels"),
+            (bytearray(b"ab"), "frame bytearray(b'ab') is a bytearray, not a collection of labels"),
+        ],
+    )
+    @pytest.mark.parametrize("make", [Frame, build_frame], ids=["Frame", "build_frame"])
+    def test_text_is_not_a_label_list(self, make, labels, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make(labels)
 
 
 class TestSubsetLookup:
