@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
-from pathlib import Path
-from typing import IO, Optional, Sequence
+from collections.abc import Sequence
 
 from .combination import combine_all
 from .distance import DistanceMeasure
@@ -88,7 +88,8 @@ def _build_parser() -> _Parser:
 
 def _load_document(path: str) -> EvidenceDocument:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except UnicodeDecodeError as exc:
         raise DocumentError(
             f"cannot read {path}: not UTF-8 text (byte {exc.start})"
@@ -215,7 +216,7 @@ def _display(value):
     return str(value)
 
 
-def _render(fields: list[str], rows: list[dict], fmt: str, out: IO[str]):
+def _render(fields: list[str], rows: list[dict], fmt: str, out: io.TextIOBase):
     if fmt == "json":
         payload = [
             {
@@ -233,9 +234,9 @@ def _render(fields: list[str], rows: list[dict], fmt: str, out: IO[str]):
 
 
 def run_cli(
-    argv: Optional[Sequence[str]] = None,
-    stdout: Optional[IO[str]] = None,
-    stderr: Optional[IO[str]] = None,
+    argv: Sequence[str] | None = None,
+    stdout: io.TextIOBase | None = None,
+    stderr: io.TextIOBase | None = None,
 ) -> int:
     """Run one CLI invocation and return its exit status.
 
@@ -262,7 +263,7 @@ def run_cli(
         return _run_command(args, out, err)
 
 
-def _run_command(args, out: IO[str], err: IO[str]) -> int:
+def _run_command(args, out: io.TextIOBase, err: io.TextIOBase) -> int:
     try:
         fields, rows = _COMMANDS[args.command](args)
     except _UsageError as exc:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import reduce
-from typing import Iterable
 
 from .core import MASS_SUM_TOLERANCE, Bba, _check_same_frame
 from .errors import TotalConflictError, ValidationError

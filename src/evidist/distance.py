@@ -29,11 +29,10 @@ from collections.abc import Callable
 from functools import lru_cache, partial
 from itertools import accumulate
 from operator import sub
-from typing import Optional
 
 from .core import Bba, FocalSet, _check_same_frame, _Frozen
 from .errors import FrameMismatchError, NumericalError, ValidationError
-from .pignistic import BetPMode, _betp_against, ppt
+from .pignistic import BetPMode, _betp_against, _betp_mode, ppt
 
 # Quadratic forms of positive semidefinite matrices are nonnegative;
 # anything below this is a fault, anything above but negative is rounding.
@@ -156,14 +155,13 @@ class DistanceMeasure(_Frozen):
 
     _fields = ("kind", "mode")
 
-    def __init__(self, kind: str, mode: Optional[BetPMode] = None):
+    def __init__(self, kind: str, mode: BetPMode | str | None = None):
         if kind not in _MEASURE_KINDS:
             raise ValidationError(
                 f"unknown measure {kind!r} (use one of {', '.join(_MEASURE_KINDS)})"
             )
         if kind == "betp":
-            if mode is None:
-                mode = BetPMode.ALL_SUBSETS
+            mode = BetPMode.ALL_SUBSETS if mode is None else _betp_mode(mode)
         elif mode is not None:
             raise ValidationError(f"measure {kind!r} does not take a mode")
         d = self.__dict__
@@ -174,17 +172,9 @@ class DistanceMeasure(_Frozen):
     def parse(cls, text: str) -> "DistanceMeasure":
         """Parse a measure name: red, jousselme, or betp[:all|singleton|focal]."""
         name, separator, mode_text = text.partition(":")
-        if not separator:
-            return cls(name)
-        if name != "betp":
+        if separator and name != "betp":
             raise ValidationError(f"measure {name!r} does not take a mode")
-        try:
-            mode = BetPMode(mode_text)
-        except ValueError:
-            raise ValidationError(
-                f"unknown betp mode {mode_text!r} (use all, singleton, or focal)"
-            ) from None
-        return cls(name, mode)
+        return cls(name, mode_text if separator else None)
 
     @property
     def label(self) -> str:

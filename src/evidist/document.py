@@ -23,11 +23,8 @@ import gc
 import json
 import math
 
-from .core import Bba, Frame, _bit_positions, _Frozen, build_bba, build_frame
+from .core import _TABLE_TYPES, Bba, Frame, _bit_positions, _Frozen, build_bba, build_frame
 from .errors import DocumentError, ValidationError
-
-
-_MEMBER_TYPES = frozenset((str, int))
 
 
 def _require_keys(mapping, expected: tuple[str, ...], context: str):
@@ -68,8 +65,8 @@ def _parse_entry(entry, context: str):
         raise DocumentError(f"{context}: 'set' must be a non-empty list")
     # Decoded JSON values have exact types, so bool (an int subclass) and
     # float both fall outside the set.
-    if not _MEMBER_TYPES.issuperset(map(type, members)):
-        member = next(m for m in members if type(m) not in _MEMBER_TYPES)
+    if not _TABLE_TYPES.issuperset(map(type, members)):
+        member = next(m for m in members if type(m) not in _TABLE_TYPES)
         raise DocumentError(
             f"{context}: set members must be labels or 1-based positions, got {member!r}"
         )
@@ -163,7 +160,7 @@ def _regular_masses(table: dict, entry_list: list) -> dict[int, float] | None:
             or type(members) is not list
             or not members
             # Exact types only: True and 1.0 hash like 1.
-            or not _MEMBER_TYPES.issuperset(map(type, members))
+            or not _TABLE_TYPES.issuperset(map(type, members))
         ):
             return None
         bits = 0

@@ -38,6 +38,15 @@ class BetPMode(Enum):
     FOCAL_SETS = "focal"
 
 
+def _betp_mode(mode: BetPMode | str) -> BetPMode:
+    try:
+        return BetPMode(mode)
+    except ValueError:
+        raise ValidationError(
+            f"unknown betp mode {mode!r} (use all, singleton, or focal)"
+        ) from None
+
+
 # ppt's rounding can take a distribution's sum a little further from one
 # than the sum of the BBA it came from.
 _PPT_SUM_TOLERANCE = MASS_SUM_TOLERANCE + 1e-12
@@ -114,16 +123,16 @@ def betp_of_subset(distribution: PignisticDistribution, subset: FocalSet) -> flo
     return sum(distribution.probabilities[i - 1] for i in subset.members)
 
 
-def dif_betp(m1: Bba, m2: Bba, mode: BetPMode = BetPMode.ALL_SUBSETS) -> float:
+def dif_betp(m1: Bba, m2: Bba, mode: BetPMode | str = BetPMode.ALL_SUBSETS) -> float:
     """Largest betting-commitment gap between two BBAs, in [0, 1].
 
     In ALL_SUBSETS mode the gap is maximized over every subset of the
     frame without enumerating them: for two probability vectors the
     maximum equals the sum of the positive coordinates of their
     difference (their total variation). The other modes scan only the
-    stated subsets.
+    stated subsets. ``mode`` may also be given as its value string.
     """
-    return _betp_against(m1, mode)(m2)
+    return _betp_against(m1, _betp_mode(mode))(m2)
 
 
 def _betp_against(reference: Bba, mode: BetPMode) -> Callable[[Bba], float]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from typing import Union
 
 from .core import Bba, _Frozen
 from .distance import DistanceMeasure
@@ -37,12 +36,9 @@ class RankingResult(_Frozen):
         d["entries"] = entries
 
 
-Candidates = Union[Mapping[str, Bba], Sequence[tuple[str, Bba]]]
-
-
 def rank_by_distance(
     reference: Bba,
-    candidates: Candidates,
+    candidates: Mapping[str, Bba] | Sequence[tuple[str, Bba]],
     measure: DistanceMeasure,
     *,
     reference_name: str = "reference",

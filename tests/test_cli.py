@@ -6,10 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import pytest
 
+import evidist
 from conftest import EDGE_SUM_DOCUMENT
 from evidist.cli import run_cli
 
@@ -426,32 +429,77 @@ LEAN_IMPORT_SCRIPT = """
 import io, sys
 import evidist.cli
 
-code = evidist.cli.run_cli(["validate", sys.argv[1]], stdout=io.StringIO())
-assert code == 0, code
-print(" ".join(sorted(
-    name for name in ("dataclasses", "inspect", "ast", "dis", "tokenize", "evidist.repro")
-    if name in sys.modules
-)))
+examples = sys.argv[1]
+sensors = examples + "/sensor_readings.json"
+grades = examples + "/grades_singletons.json"
+
+
+def run(*argv):
+    code = evidist.cli.run_cli(list(argv), stdout=io.StringIO())
+    assert code == 0, (argv, code)
+
+
+def loaded(*names):
+    return " ".join(sorted(name for name in names if name in sys.modules))
+
+
+HEAVY = ("typing", "pathlib", "dataclasses", "inspect", "ast", "dis", "tokenize")
+run("validate", examples + "/grades_pairs.json")
+run("combine", sensors, "--bbas", "gauge,probe")
+run("ppt", sensors, "--bba", "gauge")
+run("dist", grades, "--pair", "m1,m2", "--measure", "betp:focal")
+run("--format", "json", "rank", grades, "--reference", "m1", "--measure", "red")
+print(loaded(*HEAVY, "evidist.repro"))
+run("repro", "examples")
+run("repro", "sweep")
+print(loaded(*HEAVY))
 """
 
 
 def test_validate_loads_no_dataclasses_and_no_repro():
-    # Each CLI process pays for every module it loads; dataclasses pulls in
-    # inspect, ast, dis and tokenize, and only the repro command needs repro.
+    # Each CLI process pays for every module it loads: dataclasses pulls in
+    # inspect, ast, dis and tokenize, and only the repro command needs
+    # repro. Under -S no site-packages .pth file preloads typing or
+    # pathlib, so what loads them here is evidist.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
     )
-    document = REPO / "docs" / "examples" / "grades_pairs.json"
     result = subprocess.run(
-        [sys.executable, "-c", LEAN_IMPORT_SCRIPT, str(document)],
+        [sys.executable, "-S", "-c", LEAN_IMPORT_SCRIPT, str(REPO / "docs" / "examples")],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "\n"
+    assert result.stdout == "\n\n"
+
+
+def test_public_annotations_resolve():
+    # Annotations are strings, written with builtin generics, X | Y and
+    # collections.abc; each must still evaluate in its module.
+    for name in evidist.__all__:
+        obj = getattr(evidist, name)
+        if not callable(obj):
+            continue
+        typing.get_type_hints(obj)
+        for member in vars(obj).values() if isinstance(obj, type) else ():
+            # Methods, classmethods, properties and cached properties.
+            for attribute in ("__func__", "fget", "func"):
+                member = getattr(member, attribute, member)
+            if isinstance(member, types.FunctionType):
+                typing.get_type_hints(member)
+    hints = typing.get_type_hints(run_cli)
+    assert hints["stdout"] == io.TextIOBase | None
+
+
+def test_file_argument_is_opened_as_given():
+    # The path is not normalised: a trailing slash is not dropped, and an
+    # empty path is not the current directory.
+    path = str(REPO / "docs" / "examples" / "grades_pairs.json") + "/"
+    assert cli("validate", path) == (2, "", f"evidist: [Errno 20] Not a directory: {path!r}\n")
+    assert cli("validate", "") == (2, "", "evidist: cannot read : file not found\n")
 
 
 @pytest.mark.parametrize(

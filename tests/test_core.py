@@ -100,6 +100,21 @@ class TestBuildFrame:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             make(labels)
 
+    @pytest.mark.parametrize("labels,kind", [(5, "int"), (None, "NoneType")])
+    @pytest.mark.parametrize("make", [Frame, build_frame], ids=["Frame", "build_frame"])
+    def test_labels_must_be_iterable(self, make, labels, kind):
+        message = f"frame labels must be an iterable, got {kind}"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make(labels)
+
+    def test_type_error_inside_a_generator_propagates(self):
+        def labels():
+            yield "a"
+            raise TypeError("the caller's own fault")
+
+        with pytest.raises(TypeError, match="^the caller's own fault$"):
+            Frame(labels())
+
 
 class TestSubsetLookup:
     """``Frame.subset`` resolves members through a table; any member the
@@ -543,6 +558,44 @@ class TestPackedBba:
         for clone in (copy.copy(bba), copy.deepcopy(bba), pickle.loads(pickle.dumps(bba))):
             assert clone == bba and clone._by_bits == bba._by_bits
             assert clone.entries == bba.entries
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            lambda frame: [({"A"}, 1.0)],
+            lambda frame: [(["A"], 1.0)],
+            lambda frame: {frame.subset(["A"]): 1.0},
+            lambda frame: [(frame.subset(["A"]), 1.0, 0.0)],
+            lambda frame: [(frame.subset(["A"]), 0.5), None],
+        ],
+        ids=["set", "list", "mapping", "triple", "None"],
+    )
+    def test_public_constructor_takes_focal_set_pairs_only(self, entries):
+        frame = build_frame(["A", "B"])
+        message = (
+            "Bba entries must be (FocalSet, mass) pairs; build_bba "
+            "also takes mappings and sets of labels or positions"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Bba(frame, entries(frame))
+
+    def test_public_constructor_reports_the_first_fault_in_input_order(self):
+        frame = build_frame(GRADES)
+        poor, low = frame.subset(["Poor"]), frame.subset(["Low"])
+        faults = [(low, -1.0), (poor, "x")]
+        with pytest.raises(ValidationError, match=r"^focal masses must be positive, got -1.0 on \{Low\}$"):
+            Bba(frame, faults)
+        with pytest.raises(ValidationError, match=r"^focal masses must be numbers, got 'x' on \{Poor\}$"):
+            Bba(frame, faults[::-1])
+
+    def test_public_constructor_sorts_and_sums_as_from_bits(self):
+        frame = build_frame(GRADES)
+        pairs = [(frame.subset([3]), 0.1), (frame.subset([1, 2]), 0.7), (frame.subset([1]), 0.2)]
+        bba = Bba(frame, pairs)
+        trusted = Bba._from_bits(frame, {fs.bits: mass for fs, mass in pairs})
+        assert list(bba._by_bits.items()) == list(trusted._by_bits.items())
+        assert bba == trusted and hash(bba) == hash(trusted)
+        assert list(bba.__dict__) == ["frame", "_by_bits"]
 
     def test_renormalized_mass_that_underflows_is_rejected(self):
         frame = build_frame(GRADES)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from itertools import accumulate
 from operator import sub
 
@@ -30,6 +31,7 @@ from evidist.distance import (
 )
 from evidist.errors import FrameMismatchError, ValidationError
 from evidist.pignistic import BetPMode, dif_betp, ppt
+from evidist.ranking import rank_by_distance
 from evidist.repro import sweep_bbas
 
 GRADES = ("Poor", "Low", "Middle", "High", "Perfect")
@@ -348,6 +350,29 @@ class TestDistanceMeasure:
     def test_parse_rejects_unknown(self, text):
         with pytest.raises(ValidationError):
             DistanceMeasure.parse(text)
+
+    @pytest.mark.parametrize("mode", list(BetPMode), ids=lambda mode: mode.value)
+    def test_mode_value_string_is_its_member(self, mode):
+        by_string = DistanceMeasure("betp", mode.value)
+        assert by_string == DistanceMeasure("betp", mode)
+        assert by_string.mode is mode and by_string.label == f"betp:{mode.value}"
+        m1, m2 = grade_categorical(1), grade_categorical(3)
+        result = rank_by_distance(m1, {"a": m1, "b": m2}, by_string)
+        assert result.measure == by_string.label
+        assert by_string.evaluate(m1, m2) == dif_betp(m1, m2, mode)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DistanceMeasure("betp", "everything"),
+            lambda: DistanceMeasure.parse("betp:everything"),
+        ],
+        ids=["constructor", "parse"],
+    )
+    def test_unknown_mode_is_rejected_as_parse_rejects_it(self, make):
+        message = "unknown betp mode 'everything' (use all, singleton, or focal)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_evaluate_dispatch(self):
         m1, m2 = grade_categorical(1), grade_categorical(3)

@@ -181,6 +181,26 @@ class TestDifBetp:
         m1, m2 = sweep_bbas(1)
         assert dif_betp(m1, m2) == dif_betp(m1, m2, BetPMode.ALL_SUBSETS)
 
+    @pytest.mark.parametrize("mode", list(BetPMode), ids=lambda mode: mode.value)
+    def test_mode_value_string_scans_as_its_member(self, mode):
+        # The all-subsets scan gives 1.0 on this pair and the others 0.5;
+        # the sweep pairs tell the singleton scan from the focal one.
+        frame = build_frame(["A", "B", "C", "D"])
+        m1 = build_bba(frame, [({"A"}, 0.5), ({"B"}, 0.5)])
+        m2 = build_bba(frame, [({"C"}, 0.5), ({"D"}, 0.5)])
+        expected = {"all": 1.0, "singleton": 0.5, "focal": 0.5}[mode.value]
+        assert dif_betp(m1, m2, mode) == expected
+        assert dif_betp(m1, m2, mode.value) == expected
+        for pair in sweep_bbas(1), sweep_bbas(2):
+            assert dif_betp(*pair, mode.value) == dif_betp(*pair, mode)
+
+    @pytest.mark.parametrize("mode", ["everything", "", "ALL_SUBSETS", 1, None])
+    def test_unknown_mode_is_rejected(self, mode):
+        m1, m2 = sweep_bbas(1)
+        message = f"unknown betp mode {mode!r} (use all, singleton, or focal)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            dif_betp(m1, m2, mode)
+
     def test_frame_mismatch(self):
         m1 = build_bba(make_frame(3), [({1}, 1.0)])
         m2 = build_bba(make_frame(4), [({1}, 1.0)])
