@@ -81,4 +81,9 @@ def combine_all(bbas: Iterable[Bba]) -> Bba:
     bbas = list(bbas)
     if not bbas:
         raise ValidationError("need at least one BBA to combine")
+    for position, bba in enumerate(bbas, 1):
+        if not isinstance(bba, Bba):
+            raise ValidationError(
+                f"item {position} to combine is not a Bba, got {type(bba).__name__}"
+            )
     return reduce(combine_dempster, bbas)

@@ -170,8 +170,17 @@ class Frame(_Frozen):
 
     def _mask(self, members: Iterable[str | int]) -> int:
         """The non-empty bitmask of labels and/or 1-based positions."""
-        if type(members) is not list and isinstance(members, _TEXT_TYPES):
-            raise _text_error(members, "set", "labels or positions")
+        if type(members) is not list:
+            if isinstance(members, _TEXT_TYPES):
+                raise _text_error(members, "set", "labels or positions")
+            # Only iter() is guarded: the caller's own generator may raise TypeError.
+            try:
+                members = iter(members)
+            except TypeError:
+                raise ValidationError(
+                    f"a set must be an iterable of labels or positions, "
+                    f"got {type(members).__name__}"
+                ) from None
         table = self._bits
         bits = 0
         for member in members:
@@ -404,7 +413,13 @@ def build_bba(
         entries = entries.items()
     # A FocalSet is built only to name a set in an error message.
     merged: dict[int, float] = {}
-    for set_like, mass in entries:
+    for entry in entries:
+        try:
+            set_like, mass = entry
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"build_bba entries must be (set, mass) pairs, got {entry!r}"
+            ) from None
         if isinstance(set_like, FocalSet):
             if set_like.frame is not frame and set_like.frame != frame:
                 raise FrameMismatchError(

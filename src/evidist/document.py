@@ -130,9 +130,14 @@ def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     and every BBA under ``renormalize``, goes through ``build_bba``. Both
     routes give the same masses, checks and messages.
 
+    Decoded entry lists are released BBA by BBA, each once its BBA is
+    built, so the decoded document and the parsed one are never both
+    held in full.
+
     Parsing pauses the cyclic garbage collector and restores its prior
-    state on return, also when it raises. Everything the parse builds
-    stays reachable until it returns, so a collection could free nothing
+    state on return, also when it raises. Nothing the parse builds forms
+    a cycle: what it keeps stays reachable until it returns, and what it
+    releases reference counting frees, so a collection could free nothing
     and would only rescan it. The pause is process-wide; another thread
     that re-enables the collector meanwhile costs only speed.
     """
@@ -196,11 +201,16 @@ def _parse(text: str, renormalize: bool) -> EvidenceDocument:
         frame = build_frame(labels)
     except ValidationError as exc:
         raise DocumentError(f"frame: {exc}") from exc
-    if not isinstance(raw["bbas"], dict):
+    raw_bbas = raw["bbas"]
+    if not isinstance(raw_bbas, dict):
         raise DocumentError("'bbas' must be an object mapping names to entry lists")
     table = frame._bits
     bbas: dict[str, Bba] = {}
-    for name, entry_list in raw["bbas"].items():
+    # Each decoded entry list is popped, and so freed once its BBA is
+    # built, in document order. next(iter(raw_bbas)) would rescan the
+    # emptied slots and be quadratic.
+    for name in list(raw_bbas):
+        entry_list = raw_bbas.pop(name)
         if not isinstance(entry_list, list):
             raise DocumentError(f"bba {name!r} must be a list of entries")
         masses = None if renormalize else _regular_masses(table, entry_list)

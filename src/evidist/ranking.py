@@ -53,7 +53,17 @@ def rank_by_distance(
     if not items:
         raise ValidationError("no candidates to rank")
     frame = reference.frame
-    for name, bba in items:
+    for position, item in enumerate(items, 1):
+        try:
+            name, bba = item
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"candidate {position} is not a (name, Bba) pair, got {item!r}"
+            ) from None
+        if not isinstance(bba, Bba):
+            raise ValidationError(
+                f"candidate {name!r} is not a Bba, got {type(bba).__name__}"
+            )
         if bba.frame is not frame and bba.frame != frame:
             raise FrameMismatchError(
                 f"candidate {name!r} is defined on a different frame"

@@ -182,6 +182,30 @@ def test_combine_all_single_and_empty():
         combine_all([])
 
 
+@pytest.mark.parametrize(
+    "items,message",
+    [
+        ([None], "item 1 to combine is not a Bba, got NoneType"),
+        (["bba", 5], "item 1 to combine is not a Bba, got str"),
+        ([True, 5], "item 1 to combine is not a Bba, got bool"),
+        ([0, 5], "item 1 to combine is not a Bba, got int"),
+    ],
+    ids=["single-None", "str-first", "bool-first", "int-first"],
+)
+def test_combine_all_rejects_non_bbas(items, message):
+    with pytest.raises(ValidationError) as caught:
+        combine_all(items)
+    assert str(caught.value) == message
+
+
+def test_combine_all_names_the_position():
+    bba = build_bba(make_frame(4), [({1, 2}, 1.0)])
+    with pytest.raises(ValidationError, match="^item 2 to combine is not a Bba, got int$"):
+        combine_all([bba, 5])
+    with pytest.raises(ValidationError, match="^item 3 to combine is not a Bba, got dict$"):
+        combine_all(iter([bba, bba, {}]))
+
+
 # Independent oracle: enumerate every pair of powerset subsets as label
 # frozensets, with zero mass for non-focal sets.
 def _powerset(labels):

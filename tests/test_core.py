@@ -321,6 +321,43 @@ class TestBuildBba:
         bba = build_bba(frame, {frame.subset([1]): 0.5, frame.subset([2]): 0.5})
         assert len(bba.entries) == 2
 
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            ([(5, 1.0)], "a set must be an iterable of labels or positions, got int"),
+            ([(None, 1.0)], "a set must be an iterable of labels or positions, got NoneType"),
+            ({5: 1.0}, "a set must be an iterable of labels or positions, got int"),
+            ([5], "build_bba entries must be (set, mass) pairs, got 5"),
+            ([("A",)], "build_bba entries must be (set, mass) pairs, got ('A',)"),
+            ([("A", 0.5, 0.5)], "build_bba entries must be (set, mass) pairs, got ('A', 0.5, 0.5)"),
+        ],
+        ids=["int-set", "None-set", "int-key", "bare-int", "one-item", "three-items"],
+    )
+    def test_malformed_entries_rejected(self, entries, message):
+        frame = build_frame(["A", "B"])
+        with pytest.raises(ValidationError) as caught:
+            build_bba(frame, entries)
+        assert str(caught.value) == message
+
+    def test_iterators_as_sets(self):
+        frame = build_frame(["A", "B"])
+        bba = build_bba(frame, [(iter(["A"]), 0.5), ((p for p in [2]), 0.5)])
+        assert bba == build_bba(frame, [(["A"], 0.5), ([2], 0.5)])
+
+    def test_generator_type_error_propagates(self):
+        # Only iter() is guarded: an error raised while iterating is the
+        # caller's own.
+        def members():
+            yield "A"
+            raise TypeError("from the caller")
+
+        with pytest.raises(TypeError, match="from the caller"):
+            build_bba(build_frame(["A", "B"]), [(members(), 1.0)])
+
+    def test_subset_of_non_iterable_rejected(self):
+        with pytest.raises(ValidationError, match="iterable of labels or positions, got int$"):
+            build_frame(["A", "B"]).subset(5)
+
 
 class TestTextIsNotASet:
     """A str or bytes iterates as characters or byte values; taken as a set

@@ -383,6 +383,40 @@ def test_renormalize_takes_the_checked_route(monkeypatch):
     assert built == []
 
 
+# Entry lists of BBAs on frame A, B, C that fail the parse, and the message
+# each gives. "sum" fails on the regular route, in Bba._from_bits; the
+# others take the checked route and fail in build_bba or _parse_entry.
+_BAD_ENTRY_LISTS = {
+    "sum": ('[{"set": ["A"], "mass": 0.5}]', "masses sum to 0.5, expected 1 within 1e-09"),
+    "label": ('[{"set": ["Q"], "mass": 1.0}]', "unknown label 'Q'"),
+    "shape": ('[{"set": ["A"]}]', "entry 1 is missing key(s): mass"),
+}
+
+
+@pytest.mark.parametrize(
+    "first,second,renormalize",
+    [
+        (first, second, renormalize)
+        for renormalize in (False, True)
+        for first in _BAD_ENTRY_LISTS
+        for second in _BAD_ENTRY_LISTS
+        # A sum off one is no fault under renormalize.
+        if first != second and not (renormalize and "sum" in (first, second))
+    ],
+)
+def test_first_bad_bba_in_document_order_is_reported(first, second, renormalize):
+    # "z" comes before "m" in the document but not in sorted order.
+    text = (
+        '{"frame": ["A", "B", "C"], "bbas": {"y": [{"set": ["B"], "mass": 1.0}], '
+        '"z": %s, "m": %s}}' % (_BAD_ENTRY_LISTS[first][0], _BAD_ENTRY_LISTS[second][0])
+    )
+    message = _BAD_ENTRY_LISTS[first][1]
+    separator = ", " if message.startswith("entry") else ": "
+    with pytest.raises(DocumentError) as caught:
+        parse_document(text, renormalize=renormalize)
+    assert str(caught.value) == f"bba 'z'{separator}{message}"
+
+
 class TestCollectorPause:
     """parse_document pauses the cyclic collector and leaves it as it was."""
 

@@ -85,6 +85,30 @@ def test_empty_candidates_rejected():
         rank_by_distance(bbas["m1"], {}, DistanceMeasure.parse("red"))
 
 
+@pytest.mark.parametrize(
+    "candidates,message",
+    [
+        ({"x": 5}, "candidate 'x' is not a Bba, got int"),
+        ([("x", None)], "candidate 'x' is not a Bba, got NoneType"),
+        ("ab", "candidate 1 is not a (name, Bba) pair, got 'a'"),
+        ([5], "candidate 1 is not a (name, Bba) pair, got 5"),
+    ],
+    ids=["mapping-value", "pair-value", "string", "bare-int"],
+)
+def test_non_bba_candidates_rejected(candidates, message):
+    reference = singleton_set()["m1"]
+    with pytest.raises(ValidationError) as caught:
+        rank_by_distance(reference, candidates, DistanceMeasure.parse("red"))
+    assert str(caught.value) == message
+
+
+def test_later_bad_candidate_named_by_position():
+    bbas = singleton_set()
+    candidates = [("m1", bbas["m1"]), ("m2", bbas["m2"]), ("m3",)]
+    with pytest.raises(ValidationError, match=r"^candidate 3 is not a \(name, Bba\) pair"):
+        rank_by_distance(bbas["m1"], candidates, DistanceMeasure.parse("red"))
+
+
 def test_frame_mismatch_names_candidate():
     bbas = singleton_set()
     stray = build_bba(make_frame(3), [({1}, 1.0)])
