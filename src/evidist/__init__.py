@@ -5,75 +5,45 @@ evidence distance measures (Jousselme, betting commitments, and the
 order-aware ranking evidence distance), and distance-based ranking of
 BBAs against a reference. See the CLI in :mod:`evidist.cli` for the
 file-driven interface. The package uses the standard library only.
-"""
 
-from .combination import combine_all, combine_dempster, conflict
-from .core import (
-    Bba,
-    FocalSet,
-    Frame,
-    build_bba,
-    build_frame,
-    focal_sort_key,
-    mass_of,
-    vacuous_bba,
-)
-from .distance import (
-    DistanceMeasure,
-    correlation_matrix,
-    jaccard_similarity,
-    jousselme_distance,
-    red_distance,
-    red_reduces_to_jousselme,
-)
-from .document import EvidenceDocument, parse_document, serialize_document
-from .errors import (
-    DocumentError,
-    EvidenceError,
-    FrameMismatchError,
-    NumericalError,
-    TotalConflictError,
-    ValidationError,
-)
-from .pignistic import BetPMode, PignisticDistribution, betp_of_subset, dif_betp, ppt
-from .ranking import RankedCandidate, RankingResult, rank_by_distance
+The public names below resolve on first use (PEP 562), so a process
+compiles only the submodules it touches; each submodule is also an
+attribute of the package, as ``evidist.core``.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bba",
-    "BetPMode",
-    "DistanceMeasure",
-    "DocumentError",
-    "EvidenceDocument",
-    "EvidenceError",
-    "FocalSet",
-    "Frame",
-    "FrameMismatchError",
-    "NumericalError",
-    "PignisticDistribution",
-    "RankedCandidate",
-    "RankingResult",
-    "TotalConflictError",
-    "ValidationError",
-    "betp_of_subset",
-    "build_bba",
-    "build_frame",
-    "combine_all",
-    "combine_dempster",
-    "conflict",
-    "correlation_matrix",
-    "dif_betp",
-    "focal_sort_key",
-    "jaccard_similarity",
-    "jousselme_distance",
-    "mass_of",
-    "parse_document",
-    "ppt",
-    "rank_by_distance",
-    "red_distance",
-    "red_reduces_to_jousselme",
-    "serialize_document",
-    "vacuous_bba",
-    "__version__",
-]
+_PUBLIC = {
+    "combination": "combine_all combine_dempster conflict",
+    "core": "Bba FocalSet Frame build_bba build_frame focal_sort_key mass_of vacuous_bba",
+    "distance": (
+        "DistanceMeasure correlation_matrix jaccard_similarity jousselme_distance"
+        " red_distance red_reduces_to_jousselme"
+    ),
+    "document": "EvidenceDocument parse_document serialize_document",
+    "errors": (
+        "DocumentError EvidenceError FrameMismatchError NumericalError"
+        " TotalConflictError ValidationError"
+    ),
+    "pignistic": "BetPMode PignisticDistribution betp_of_subset dif_betp ppt",
+    "ranking": "RankedCandidate RankingResult rank_by_distance",
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+_MODULE_OF.update(zip(_PUBLIC, _PUBLIC))  # the submodules themselves
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Importing a submodule binds it in this namespace; caching the name
+    # there too means this hook runs once per name.
+    __import__(f"{__name__}.{module}")
+    value = globals()[module] if name == module else getattr(globals()[module], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import reduce
 
-from .core import MASS_SUM_TOLERANCE, Bba, _check_same_frame
+from .core import MASS_SUM_TOLERANCE, Bba, _check_same_frame, _left_sum
 from .errors import TotalConflictError, ValidationError
 
 # 1 - k below this margin would divide the combined masses by a denormal.
@@ -54,7 +54,7 @@ def combine_dempster(m1: Bba, m2: Bba) -> Bba:
     The share is k itself when both mass sums are exactly one.
     """
     accumulated, k = _focal_products(m1, m2)
-    total = sum(accumulated.values())
+    total = _left_sum(accumulated.values())
     if total <= CONFLICT_TOLERANCE * (k + total):
         raise TotalConflictError(
             f"total conflict between sources (k = {k!r}); orthogonal sum undefined"

@@ -244,6 +244,16 @@ def focal_sort_key(focal_set: FocalSet) -> tuple[int, tuple[int, ...]]:
     return (focal_set.bits.bit_count(), focal_set.members)
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """``sum(values)`` added strictly left to right, as sum() does before
+    Python 3.12. From 3.12 on, sum() compensates its rounding, so its
+    last bits would depend on the interpreter."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def _bit_positions(bits: int) -> Iterator[int]:
     """The 0-based positions of the set bits, ascending."""
     while bits:
@@ -442,7 +452,7 @@ def build_bba(
         merged[bits] = merged.get(bits, 0.0) + mass
     positive = {bits: mass for bits, mass in merged.items() if mass > 0.0}
     if renormalize:
-        total = sum(positive.values())
+        total = _left_sum(positive.values())
         if total <= 0.0:
             raise ValidationError("cannot renormalize: total mass is zero")
         positive = {bits: mass / total for bits, mass in positive.items()}

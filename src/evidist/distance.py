@@ -27,10 +27,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from functools import lru_cache, partial
-from itertools import accumulate
-from operator import sub
 
-from .core import Bba, FocalSet, _check_same_frame, _Frozen
+from .core import Bba, FocalSet, _check_same_frame, _Frozen, _left_sum
 from .errors import FrameMismatchError, NumericalError, ValidationError
 from .pignistic import BetPMode, _betp_against, _betp_mode, ppt
 
@@ -124,8 +122,12 @@ def _red_against(reference: Bba) -> Callable[[Bba], float]:
         _check_same_frame(reference, candidate)
         if size == 1:
             return 0.0
-        p2 = ppt(candidate).probabilities[:-1]
-        return math.sqrt(sum(c * c for c in accumulate(map(sub, p1, p2))) / (size - 1))
+        # Added left to right (see core._left_sum), inline for speed.
+        gap = total = 0.0
+        for a, b in zip(p1, ppt(candidate).probabilities):  # p1 is one shorter
+            gap += a - b
+            total += gap * gap
+        return math.sqrt(total / (size - 1))
 
     return score
 
@@ -141,7 +143,7 @@ def red_reduces_to_jousselme(m1: Bba, m2: Bba) -> tuple[float, float]:
     """
     _check_same_frame(m1, m2)
     p1, p2 = ppt(m1), ppt(m2)
-    squares = sum((a - b) ** 2 for a, b in zip(p1.probabilities, p2.probabilities))
+    squares = _left_sum((a - b) ** 2 for a, b in zip(p1.probabilities, p2.probabilities))
     with_identity = math.sqrt(0.5 * squares)
     on_pignistic = jousselme_distance(p1.to_bba(), p2.to_bba())
     return with_identity, on_pignistic
@@ -188,6 +190,8 @@ class DistanceMeasure(_Frozen):
         Work that depends on the reference alone, such as its pignistic
         transform, is done here once rather than once per candidate.
         """
+        if not isinstance(reference, Bba):
+            raise ValidationError(f"the reference is not a Bba, got {type(reference).__name__}")
         if self.kind == "jousselme":
             return partial(jousselme_distance, reference)
         if self.kind == "red":

@@ -52,6 +52,7 @@ def rank_by_distance(
     items = list(candidates.items()) if isinstance(candidates, Mapping) else list(candidates)
     if not items:
         raise ValidationError("no candidates to rank")
+    score = measure.against(reference)  # checks that the reference is a Bba
     frame = reference.frame
     for position, item in enumerate(items, 1):
         try:
@@ -68,7 +69,6 @@ def rank_by_distance(
             raise FrameMismatchError(
                 f"candidate {name!r} is defined on a different frame"
             )
-    score = measure.against(reference)
     scored = [(score(bba), index, name) for index, (name, bba) in enumerate(items)]
     scored.sort(key=lambda t: (t[0], t[1]))
 

@@ -2,10 +2,12 @@
 last bits of the rank distances on a generated document.
 
 Run ``PYTHONPATH=src python tests/golden_outputs.py`` from the repository
-root, once under Python 3.10 or 3.11 and once under 3.12 or later, to
-rewrite tests/golden/cli.json from the current code; tests/test_golden.py
-recomputes every record and compares. Rewriting the file is a test
-change, so say which records changed and why.
+root to rewrite tests/golden/cli.json from the current code;
+tests/test_golden.py recomputes every record and compares. The records
+are the same on every supported Python: evidist adds floats strictly left
+to right, never with the builtin sum(), which compensates its rounding
+from Python 3.12 on. Rewriting the file is a test change, so say which
+records changed and why.
 
 Each CLI record holds the argv, the exit status, stderr and stdout; an
 output longer than FULL_LIMIT characters is kept as its sha256. The
@@ -40,10 +42,6 @@ MEASURES = ("red", "jousselme", "betp", "betp:all", "betp:singleton", "betp:foca
 GENERATED_SEED = 20_130_601
 GENERATED_COUNT = 2_000
 GENERATED_SIZE = 20
-# sum() of floats compensates its rounding from Python 3.12 on, and the
-# red and betp distances use it, so their last bits depend on the
-# interpreter: each side of 3.12 keeps its own library records.
-PYTHON = ">=3.12" if sys.version_info >= (3, 12) else "<3.12"
 
 
 def generated_document(seed: int, count: int, size: int) -> str:
@@ -321,9 +319,8 @@ def library_records() -> list[dict]:
     text = generated_document(GENERATED_SEED, GENERATED_COUNT, GENERATED_SIZE)
     document = parse_document(text)
     records = [
-        {"python": PYTHON, "generated": "text", "sha256": _sha256_lines([text])},
+        {"generated": "text", "sha256": _sha256_lines([text])},
         {
-            "python": PYTHON,
             "generated": "masses",
             "sha256": _sha256_lines(
                 f"{name} {bits} {mass.hex()}"
@@ -337,7 +334,6 @@ def library_records() -> list[dict]:
         result = rank_by_distance(reference, document.bbas, DistanceMeasure.parse(spelling))
         records.append(
             {
-                "python": PYTHON,
                 "generated": f"rank {spelling}",
                 "measure": result.measure,
                 "ties": sum(entry.tied for entry in result.entries),
@@ -356,18 +352,10 @@ def dumps(golden: list[dict]) -> str:
 
 
 def regenerate():
-    """Rewrite the golden file from the current code. The library records
-    of the other side of Python 3.12 are kept as they are: run this under
-    both sides to renew them all."""
-    try:
-        with open(GOLDEN, encoding="utf-8") as file:
-            kept = [r for r in json.load(file) if r.get("python", PYTHON) != PYTHON]
-    except FileNotFoundError:
-        kept = []
-    library = sorted(kept + library_records(), key=lambda record: record["python"])
+    """Rewrite the golden file from the current code."""
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as file:
-        file.write(dumps(cli_records() + library))
+        file.write(dumps(cli_records() + library_records()))
 
 
 if __name__ == "__main__":

@@ -437,6 +437,14 @@ class TestAgainst:
         with pytest.raises(FrameMismatchError):
             score(build_bba(make_frame(5), [({2}, 1.0)]))
 
+    @pytest.mark.parametrize("text", MEASURE_SPELLINGS)
+    def test_reference_must_be_a_bba(self, text):
+        measure = DistanceMeasure.parse(text)
+        with pytest.raises(ValidationError, match=r"^the reference is not a Bba, got NoneType$"):
+            measure.against(None)
+        with pytest.raises(ValidationError, match=r"^the reference is not a Bba, got int$"):
+            measure.evaluate(5, grade_categorical(1))
+
     def test_reference_is_transformed_once(self, monkeypatch):
         import evidist.distance
         import evidist.pignistic

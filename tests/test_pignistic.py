@@ -93,6 +93,13 @@ class TestPpt:
 
 
 class TestBetpOfSubset:
+    def test_adds_left_to_right_on_every_python(self):
+        # sum() compensates its rounding from Python 3.12 on and would give
+        # 1.0000000000000002 here; the package adds plainly everywhere.
+        frame = build_frame(["A", "B", "C"])
+        p = PignisticDistribution(frame, (1.0, 1e-16, 1e-16))
+        assert betp_of_subset(p, frame.full_set()) == 1.0
+
     def test_uniform_pair(self):
         frame = make_frame(5)
         p = ppt(vacuous_bba(frame))

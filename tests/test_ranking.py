@@ -102,6 +102,12 @@ def test_non_bba_candidates_rejected(candidates, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("text", ["red", "jousselme", "betp:focal"])
+def test_non_bba_reference_rejected(text):
+    with pytest.raises(ValidationError, match=r"^the reference is not a Bba, got int$"):
+        rank_by_distance(5, singleton_set(), DistanceMeasure.parse(text))
+
+
 def test_later_bad_candidate_named_by_position():
     bbas = singleton_set()
     candidates = [("m1", bbas["m1"]), ("m2", bbas["m2"]), ("m3",)]
