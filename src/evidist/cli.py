@@ -6,9 +6,10 @@ displayed with exactly 4 decimal places so repeated runs are
 byte-identical. Exit codes: 0 success, 1 usage error, 2 parse or
 validation error, 3 computation error.
 
-Each command imports the modules it uses when it runs, so a process
-compiles only those (``validate`` needs none beyond the document
-parser).
+A command takes the document its ``file`` argument names, read in one
+place, and returns its column names and its rows as tuples in that
+order. It imports the modules it uses when it runs, so a process
+compiles only those (``validate`` needs none beyond the parser).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import io
 import json
 import sys
 from collections.abc import Sequence
+from operator import itemgetter
 
 from .core import _left_sum
 from .document import EvidenceDocument, _CollectorPause, parse_document
@@ -33,9 +35,18 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
+    # Raise where argparse would print and exit, so that run_cli writes
+    # usage errors and help text to the streams it was given.
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -50,35 +61,29 @@ def _build_parser() -> _Parser:
         help="output format (default: csv)",
     )
     commands = parser.add_subparsers(dest="command", metavar="command")
+    measure_help = "red, jousselme, or betp[:all|singleton|focal] (default: red)"
 
-    p = commands.add_parser("validate", help="check a document and summarize its BBAs")
-    p.add_argument("file", help="evidence document")
+    def file_command(name: str, summary: str) -> _Parser:
+        # A command with a document to read (see _run_command).
+        p = commands.add_parser(name, help=summary)
+        p.add_argument("file", help="evidence document")
+        return p
 
-    p = commands.add_parser("combine", help="combine BBAs with Dempster's rule")
-    p.add_argument("file", help="evidence document")
+    file_command("validate", "check a document and summarize its BBAs")
+
+    p = file_command("combine", "combine BBAs with Dempster's rule")
     p.add_argument("--bbas", required=True, help="comma-separated BBA names (two or more)")
 
-    p = commands.add_parser("ppt", help="pignistic probability transformation of a BBA")
-    p.add_argument("file", help="evidence document")
+    p = file_command("ppt", "pignistic probability transformation of a BBA")
     p.add_argument("--bba", required=True, help="BBA name")
 
-    p = commands.add_parser("dist", help="distance between two BBAs")
-    p.add_argument("file", help="evidence document")
+    p = file_command("dist", "distance between two BBAs")
     p.add_argument("--pair", required=True, help="two comma-separated BBA names")
-    p.add_argument(
-        "--measure",
-        default="red",
-        help="red, jousselme, or betp[:all|singleton|focal] (default: red)",
-    )
+    p.add_argument("--measure", default="red", help=measure_help)
 
-    p = commands.add_parser("rank", help="rank all BBAs by distance to a reference")
-    p.add_argument("file", help="evidence document")
+    p = file_command("rank", "rank all BBAs by distance to a reference")
     p.add_argument("--reference", required=True, help="reference BBA name")
-    p.add_argument(
-        "--measure",
-        default="red",
-        help="red, jousselme, or betp[:all|singleton|focal] (default: red)",
-    )
+    p.add_argument("--measure", default="red", help=measure_help)
 
     p = commands.add_parser("repro", help="recompute a built-in benchmark report")
     p.add_argument("report", choices=("examples", "sweep"), help="which report")
@@ -97,11 +102,8 @@ def _load_document(path: str) -> EvidenceDocument:
     return parse_document(text)
 
 
-def _split_names(raw: str, *, minimum: int, flag: str) -> list[str]:
-    names = [name.strip() for name in raw.split(",") if name.strip()]
-    if len(names) < minimum:
-        raise _UsageError(f"{flag} needs at least {minimum} comma-separated names")
-    return names
+def _split_names(raw: str) -> list[str]:
+    return [name.strip() for name in raw.split(",") if name.strip()]
 
 
 def _parse_measure(raw: str):
@@ -113,61 +115,40 @@ def _parse_measure(raw: str):
         raise _UsageError(str(exc)) from exc
 
 
-def _cmd_validate(args):
-    document = _load_document(args.file)
+def _cmd_validate(document, args):
     rows = [
-        {
-            "bba": name,
-            "focal_sets": len(bba._by_bits),
-            "mass_sum": _left_sum(bba._by_bits.values()),
-        }
+        (name, len(bba._by_bits), _left_sum(bba._by_bits.values()))
         for name, bba in document.bbas.items()
     ]
-    return ["bba", "focal_sets", "mass_sum"], rows
+    return ("bba", "focal_sets", "mass_sum"), rows
 
 
-def _cmd_combine(args):
+def _cmd_combine(document, args):
     from .combination import combine_all
 
-    document = _load_document(args.file)
-    names = _split_names(args.bbas, minimum=2, flag="--bbas")
+    names = _split_names(args.bbas)
+    if len(names) < 2:
+        raise _UsageError("--bbas needs at least 2 comma-separated names")
     combined = combine_all(document.bba(name) for name in names)
-    rows = [
-        {"set": repr(fs), "mass": mass} for fs, mass in combined.entries
-    ]
-    return ["set", "mass"], rows
+    return ("set", "mass"), [(repr(fs), mass) for fs, mass in combined.entries]
 
 
-def _cmd_ppt(args):
+def _cmd_ppt(document, args):
     from .pignistic import ppt
 
-    document = _load_document(args.file)
     distribution = ppt(document.bba(args.bba))
-    rows = [
-        {"element": label, "probability": probability}
-        for label, probability in zip(
-            document.frame.labels, distribution.probabilities
-        )
-    ]
-    return ["element", "probability"], rows
+    rows = list(zip(document.frame.labels, distribution.probabilities))
+    return ("element", "probability"), rows
 
 
-def _cmd_dist(args):
-    document = _load_document(args.file)
-    names = [name.strip() for name in args.pair.split(",") if name.strip()]
+def _cmd_dist(document, args):
+    names = _split_names(args.pair)
     if len(names) != 2:
         raise _UsageError("--pair needs exactly two comma-separated names")
     measure = _parse_measure(args.measure)
-    value = measure.evaluate(document.bba(names[0]), document.bba(names[1]))
-    rows = [
-        {
-            "bba_1": names[0],
-            "bba_2": names[1],
-            "measure": measure.label,
-            "distance": value,
-        }
-    ]
-    return ["bba_1", "bba_2", "measure", "distance"], rows
+    first, second = names
+    value = measure.evaluate(document.bba(first), document.bba(second))
+    return ("bba_1", "bba_2", "measure", "distance"), [(first, second, measure.label, value)]
 
 
 def rank_by_distance(reference, candidates, measure, **options):
@@ -179,36 +160,24 @@ def rank_by_distance(reference, candidates, measure, **options):
     return rank_by_distance(reference, candidates, measure, **options)
 
 
-def _cmd_rank(args):
-    document = _load_document(args.file)
+def _cmd_rank(document, args):
     measure = _parse_measure(args.measure)
     reference = document.bba(args.reference)
-    result = rank_by_distance(
-        reference,
-        document.bbas,
-        measure,
-        reference_name=args.reference,
-    )
-    rows = [
-        {
-            "bba": entry.name,
-            "distance": entry.distance,
-            "rank": entry.rank,
-            "tied": entry.tied,
-        }
-        for entry in result.entries
-    ]
-    return ["bba", "distance", "rank", "tied"], rows
+    result = rank_by_distance(reference, document.bbas, measure, reference_name=args.reference)
+    rows = [(entry.name, entry.distance, entry.rank, entry.tied) for entry in result.entries]
+    return ("bba", "distance", "rank", "tied"), rows
 
 
-def _cmd_repro(args):
+def _cmd_repro(document, args):
     from . import repro
 
     if args.report == "examples":
+        fields = ("case", "bba_1", "bba_2", "measure", "computed", "expected", "match")
         rows = repro.comparison_rows()
-        return ["case", "bba_1", "bba_2", "measure", "computed", "expected", "match"], rows
-    rows = repro.sweep_rows()
-    return ["case", "jousselme", "betp_focal", "red"], rows
+    else:
+        fields = ("case", "jousselme", "betp_focal", "red")
+        rows = repro.sweep_rows()
+    return fields, list(map(itemgetter(*fields), rows))
 
 
 _COMMANDS = {
@@ -229,12 +198,12 @@ def _display(value):
     return str(value)
 
 
-def _render(fields: list[str], rows: list[dict], fmt: str, out: io.TextIOBase):
+def _render(fields: tuple[str, ...], rows: list[tuple], fmt: str, out: io.TextIOBase):
     if fmt == "json":
         payload = [
             {
                 key: (round(value, 4) if isinstance(value, float) else value)
-                for key, value in row.items()
+                for key, value in zip(fields, row)
             }
             for row in rows
         ]
@@ -245,7 +214,7 @@ def _render(fields: list[str], rows: list[dict], fmt: str, out: io.TextIOBase):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:
-        writer.writerow([_display(row[field]) for field in fields])
+        writer.writerow([_display(value) for value in row])
 
 
 def run_cli(
@@ -269,8 +238,9 @@ def run_cli(
     except _UsageError as exc:
         print(f"evidist: {exc}", file=err)
         return EXIT_USAGE
-    except SystemExit as exc:  # --help and friends
-        return int(exc.code or 0)
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return EXIT_OK
     if args.command is None:
         print("evidist: missing command (see evidist --help)", file=err)
         return EXIT_USAGE
@@ -280,17 +250,16 @@ def run_cli(
 
 def _run_command(args, out: io.TextIOBase, err: io.TextIOBase) -> int:
     try:
-        fields, rows = _COMMANDS[args.command](args)
+        # Read before any argument check: a bad document is reported first.
+        document = _load_document(args.file) if hasattr(args, "file") else None
+        fields, rows = _COMMANDS[args.command](document, args)
     except _UsageError as exc:
         print(f"evidist: {exc}", file=err)
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"evidist: cannot read {exc.filename}: file not found", file=err)
         return EXIT_INVALID
-    except OSError as exc:
-        print(f"evidist: {exc}", file=err)
-        return EXIT_INVALID
-    except ValidationError as exc:
+    except (OSError, ValidationError) as exc:
         print(f"evidist: {exc}", file=err)
         return EXIT_INVALID
     except EvidenceError as exc:

@@ -389,7 +389,13 @@ class Bba(_Frozen):
         return f"Bba({body})"
 
 
+def _not_a_bba(value) -> ValidationError:
+    return ValidationError(f"expected a Bba, got {type(value).__name__}")
+
+
 def _check_same_frame(m1: Bba, m2: Bba):
+    if not (isinstance(m1, Bba) and isinstance(m2, Bba)):
+        raise _not_a_bba(m2 if isinstance(m1, Bba) else m1)
     # Identity first: comparing two frames field by field is a Python call.
     if m1.frame is not m2.frame and m1.frame != m2.frame:
         raise FrameMismatchError("BBAs are defined on different frames")

@@ -115,8 +115,8 @@ def red_distance(m1: Bba, m2: Bba) -> float:
 def _red_against(reference: Bba) -> Callable[[Bba], float]:
     """``red_distance(reference, candidate)`` as a function of the
     candidate, with the reference transformed once."""
+    p1 = ppt(reference).probabilities[:-1]  # first: ppt checks it is a Bba
     size = reference.frame.size
-    p1 = ppt(reference).probabilities[:-1]
 
     def score(candidate: Bba) -> float:
         _check_same_frame(reference, candidate)

@@ -21,6 +21,7 @@ from .core import (
     _check_same_frame,
     _Frozen,
     _left_sum,
+    _not_a_bba,
 )
 from .errors import FrameMismatchError, ValidationError
 
@@ -107,6 +108,8 @@ def ppt(bba: Bba) -> PignisticDistribution:
     probability is the sum of its shares. Mass on the empty set is ruled
     out at construction, so no renormalization is needed here.
     """
+    if not isinstance(bba, Bba):
+        raise _not_a_bba(bba)
     probabilities = [0.0] * bba.frame.size
     for bits, mass in bba._by_bits.items():
         share = mass / bits.bit_count()

@@ -187,6 +187,9 @@ def test_criterion_05_sweep_benchmark():
             assert {frozenset(fs.members): mass for fs, mass in bba.entries} == {
                 focal: float(mass) for focal, mass in spec.items()
             }, f"sweep case {case}: program and oracle inputs differ"
+    for outside in (0, len(SWEEP_CASES) + 1):
+        with pytest.raises(ValueError, match=f"^case must be in 1..20, got {outside}$"):
+            sweep_bbas(outside)
 
     oracle = {case: sweep_oracle(case) for case in SWEEP_CASES}
     assert oracle[3]["jousselme"] == oracle[8]["jousselme"]

@@ -251,6 +251,17 @@ class TestUsage:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["--help"], "usage: evidist [-h]"), (["rank", "--help"], "usage: evidist rank [-h]")],
+        ids=["top-level", "subcommand"],
+    )
+    def test_help_goes_to_the_given_stdout(self, argv, usage, capsys):
+        code, out, err = cli(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage)
+        assert capsys.readouterr() == ("", "")
+
 
 class TestJsonFormat:
     def test_dist_json(self, singletons_file):

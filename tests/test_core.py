@@ -100,6 +100,12 @@ class TestBuildFrame:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             make(labels)
 
+    @pytest.mark.parametrize("label", [1, None, b"a"])
+    def test_labels_must_be_strings(self, label):
+        message = f"labels must be strings, got {label!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Frame(["a", label])
+
     @pytest.mark.parametrize("labels,kind", [(5, "int"), (None, "NoneType")])
     @pytest.mark.parametrize("make", [Frame, build_frame], ids=["Frame", "build_frame"])
     def test_labels_must_be_iterable(self, make, labels, kind):
@@ -138,6 +144,8 @@ class TestSubsetLookup:
         expected = f"^{re.escape(message)}$"
         with pytest.raises(ValidationError, match=expected):
             frame.index_of(member)
+        with pytest.raises(ValidationError, match=expected):
+            frame.singleton(member)
         for members in ([member], ["Low", member], [3, member, 4]):
             with pytest.raises(ValidationError, match=expected):
                 frame.subset(members)
@@ -242,6 +250,19 @@ class TestFocalSet:
     def test_label_and_index_name_same_set(self):
         frame = build_frame(GRADES)
         assert frame.subset(["Poor"]) == frame.subset([1])
+        assert frame.singleton("Middle") == frame.singleton(3) == frame.subset([3])
+
+    @pytest.mark.parametrize(
+        "bits,message",
+        [
+            (0, "a focal set must be non-empty"),
+            (-1, "a focal set must be non-empty"),
+            (1 << len(GRADES), "focal set has members outside its frame"),
+        ],
+    )
+    def test_bits_must_name_a_non_empty_subset_of_the_frame(self, bits, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FocalSet(build_frame(GRADES), bits)
 
     @given(data=st.data())
     def test_members_are_the_set_bits(self, data):
@@ -624,6 +645,12 @@ class TestPackedBba:
             Bba(frame, faults)
         with pytest.raises(ValidationError, match=r"^focal masses must be numbers, got 'x' on \{Poor\}$"):
             Bba(frame, faults[::-1])
+
+    def test_public_constructor_rejects_a_duplicate_focal_set(self):
+        frame = build_frame(GRADES)
+        low = frame.subset(["Low"])
+        with pytest.raises(ValidationError, match=r"^duplicate focal set \{Low\}$"):
+            Bba(frame, [(low, 0.5), (frame.subset([2]), 0.5)])
 
     def test_public_constructor_sorts_and_sums_as_from_bits(self):
         frame = build_frame(GRADES)

@@ -19,6 +19,7 @@ from conftest import (
     ppt_by_members,
     random_bba,
 )
+from evidist.combination import combine_dempster, conflict
 from evidist.core import build_bba, build_frame
 from evidist.document import parse_document
 from evidist.distance import (
@@ -362,15 +363,22 @@ class TestDistanceMeasure:
         assert by_string.evaluate(m1, m2) == dif_betp(m1, m2, mode)
 
     @pytest.mark.parametrize(
-        "make",
+        "make,message",
         [
-            lambda: DistanceMeasure("betp", "everything"),
-            lambda: DistanceMeasure.parse("betp:everything"),
+            (
+                lambda: DistanceMeasure("betp", "everything"),
+                "unknown betp mode 'everything' (use all, singleton, or focal)",
+            ),
+            (
+                lambda: DistanceMeasure.parse("betp:everything"),
+                "unknown betp mode 'everything' (use all, singleton, or focal)",
+            ),
+            (lambda: DistanceMeasure("red", "all"), "measure 'red' does not take a mode"),
+            (lambda: DistanceMeasure.parse("red:all"), "measure 'red' does not take a mode"),
         ],
-        ids=["constructor", "parse"],
+        ids=["constructor", "parse", "red-constructor", "red-parse"],
     )
-    def test_unknown_mode_is_rejected_as_parse_rejects_it(self, make):
-        message = "unknown betp mode 'everything' (use all, singleton, or focal)"
+    def test_unknown_mode_is_rejected_as_parse_rejects_it(self, make, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             make()
 
@@ -465,6 +473,29 @@ class TestAgainst:
             for candidate in candidates:
                 score(candidate)
             assert calls == [reference] + candidates
+
+
+NON_BBA_ENTRY_POINTS = {
+    "red_distance": red_distance,
+    "jousselme_distance": jousselme_distance,
+    "dif_betp": dif_betp,
+    "combine_dempster": combine_dempster,
+    "conflict": conflict,
+    "red_reduces_to_jousselme": red_reduces_to_jousselme,
+    **{f"evaluate-{text}": DistanceMeasure.parse(text).evaluate for text in MEASURE_SPELLINGS},
+    "ppt": lambda m1, m2: (ppt(m1), ppt(m2)),
+}
+
+
+@pytest.mark.parametrize("position", [1, 2])
+@pytest.mark.parametrize("entry_point", NON_BBA_ENTRY_POINTS.values(), ids=NON_BBA_ENTRY_POINTS)
+def test_non_bba_operand_is_a_validation_error(entry_point, position):
+    operands = [grade_categorical(1), grade_categorical(2)]
+    operands[position - 1] = 5
+    # evaluate names its first operand "the reference"; see TestAgainst.
+    message = r"^(expected a|the reference is not a) Bba, got int$"
+    with pytest.raises(ValidationError, match=message):
+        entry_point(*operands)
 
 
 @settings(max_examples=60)

@@ -1,9 +1,13 @@
 """The CLI's exact output and the rank distances' last bits, against the
 records in tests/golden/cli.json (see golden_outputs.py to regenerate)."""
 
+import ast
 import json
+from pathlib import Path
 
 import golden_outputs
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "evidist"
 
 
 def _load() -> list[dict]:
@@ -35,3 +39,19 @@ def test_golden_file_is_as_regenerated():
     # A hand edit that the generator would not write shows here.
     with open(golden_outputs.GOLDEN, encoding="utf-8") as file:
         assert file.read() == golden_outputs.dumps(_load())
+
+
+def test_package_never_uses_builtin_sum():
+    # From Python 3.12 on, sum() of floats compensates its rounding, so its
+    # last bits depend on the interpreter; the package adds left to right
+    # (core._left_sum). Most golden values print with four decimals, which
+    # would hide a stray sum() in, say, a mass total.
+    paths = sorted(SOURCE.glob("*.py"))
+    assert any(path.name == "core.py" for path in paths)
+    uses = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "sum"
+    ]
+    assert not uses, f"builtin sum() used at {', '.join(uses)}"
