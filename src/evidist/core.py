@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 from .errors import FrameMismatchError, ValidationError
@@ -266,6 +266,9 @@ def _bit_positions(bits: int) -> Iterator[int]:
 _REVERSED_BYTES = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
+# Bounded: a Dempster fold re-sorts mostly the same sets at every step,
+# while a document of many BBAs would only fill an unbounded memo.
+@lru_cache(maxsize=1024)
 def _canonical_key(bits: int) -> int:
     """An integer key in ``focal_sort_key``'s order, from the bitmask alone.
 
@@ -389,13 +392,13 @@ class Bba(_Frozen):
         return f"Bba({body})"
 
 
-def _not_a_bba(value) -> ValidationError:
-    return ValidationError(f"expected a Bba, got {type(value).__name__}")
+def _not_a(expected: type, value) -> ValidationError:
+    return ValidationError(f"expected a {expected.__name__}, got {type(value).__name__}")
 
 
 def _check_same_frame(m1: Bba, m2: Bba):
     if not (isinstance(m1, Bba) and isinstance(m2, Bba)):
-        raise _not_a_bba(m2 if isinstance(m1, Bba) else m1)
+        raise _not_a(Bba, m2 if isinstance(m1, Bba) else m1)
     # Identity first: comparing two frames field by field is a Python call.
     if m1.frame is not m2.frame and m1.frame != m2.frame:
         raise FrameMismatchError("BBAs are defined on different frames")
@@ -480,6 +483,10 @@ def vacuous_bba(frame: Frame) -> Bba:
 
 def mass_of(bba: Bba, focal_set: FocalSet) -> float:
     """Mass assigned to a set, 0.0 when the set is not focal."""
+    if not isinstance(bba, Bba):
+        raise _not_a(Bba, bba)
+    if not isinstance(focal_set, FocalSet):
+        raise _not_a(FocalSet, focal_set)
     if focal_set.frame != bba.frame:
         raise FrameMismatchError("queried set belongs to a different frame")
     return bba._by_bits.get(focal_set.bits, 0.0)

@@ -28,9 +28,9 @@ import math
 from collections.abc import Callable
 from functools import lru_cache, partial
 
-from .core import Bba, FocalSet, _check_same_frame, _Frozen, _left_sum
+from .core import Bba, FocalSet, _check_same_frame, _Frozen, _left_sum, _not_a
 from .errors import FrameMismatchError, NumericalError, ValidationError
-from .pignistic import BetPMode, _betp_against, _betp_mode, ppt
+from .pignistic import BetPMode, _betp_against, _betp_mode, _probabilities, ppt
 
 # Quadratic forms of positive semidefinite matrices are nonnegative;
 # anything below this is a fault, anything above but negative is rounding.
@@ -39,6 +39,8 @@ RADICAND_TOLERANCE = 1e-12
 
 def jaccard_similarity(a: FocalSet, b: FocalSet) -> float:
     """|A n B| / |A u B|: 1 on identical sets, 0 on disjoint ones."""
+    if not (isinstance(a, FocalSet) and isinstance(b, FocalSet)):
+        raise _not_a(FocalSet, b if isinstance(a, FocalSet) else a)
     if a.frame != b.frame:
         raise FrameMismatchError("focal sets belong to different frames")
     return (a.bits & b.bits).bit_count() / (a.bits | b.bits).bit_count()
@@ -61,19 +63,27 @@ def jousselme_distance(m1: Bba, m2: Bba) -> float:
     to the form, so the result is identical and large frames stay cheap.
     The symmetric form d^T W d is summed over its lower triangle as
     sum_i d_i (d_i + 2 sum_{j<i} d_j W_ij).
+
+    Each set's size is counted once and kept beside it, and a pair's
+    union size is |A| + |B| - |A n B|, so a pair costs one popcount.
+    Disjoint pairs are skipped: their weight is 0, and adding their term,
+    0.0 or -0.0, would leave the running sum unchanged, bit for bit.
     """
     _check_same_frame(m1, m2)
     masses1, masses2 = m1._by_bits, m2._by_bits
     radicand = 0.0
-    seen: list[tuple[int, float]] = []
+    seen: list[tuple[int, int, float]] = []
     # The joint focal list, in one canonical order whichever BBA comes first.
     for bits in sorted(masses1.keys() | masses2.keys()):
         d = masses1.get(bits, 0.0) - masses2.get(bits, 0.0)
+        size = bits.bit_count()
         cross = 0.0
-        for other, d_other in seen:
-            cross += d_other * (bits & other).bit_count() / (bits | other).bit_count()
+        for other, other_size, d_other in seen:
+            common = (bits & other).bit_count()
+            if common:
+                cross += d_other * common / (size + other_size - common)
         radicand += d * (d + 2.0 * cross)
-        seen.append((bits, d))
+        seen.append((bits, size, d))
     return _sqrt_half_radicand(radicand)
 
 
@@ -124,7 +134,7 @@ def _red_against(reference: Bba) -> Callable[[Bba], float]:
             return 0.0
         # Added left to right (see core._left_sum), inline for speed.
         gap = total = 0.0
-        for a, b in zip(p1, ppt(candidate).probabilities):  # p1 is one shorter
+        for a, b in zip(p1, _probabilities(candidate)):  # p1 is one shorter
             gap += a - b
             total += gap * gap
         return math.sqrt(total / (size - 1))

@@ -17,11 +17,10 @@ from .core import (
     Bba,
     FocalSet,
     Frame,
-    _bit_positions,
     _check_same_frame,
     _Frozen,
     _left_sum,
-    _not_a_bba,
+    _not_a,
 )
 from .errors import FrameMismatchError, ValidationError
 
@@ -109,7 +108,12 @@ def ppt(bba: Bba) -> PignisticDistribution:
     out at construction, so no renormalization is needed here.
     """
     if not isinstance(bba, Bba):
-        raise _not_a_bba(bba)
+        raise _not_a(Bba, bba)
+    return PignisticDistribution(bba.frame, tuple(_probabilities(bba)))
+
+
+def _probabilities(bba: Bba) -> list[float]:
+    """``ppt(bba).probabilities`` as a list; ``bba`` must be a Bba."""
     probabilities = [0.0] * bba.frame.size
     for bits, mass in bba._by_bits.items():
         share = mass / bits.bit_count()
@@ -117,11 +121,15 @@ def ppt(bba: Bba) -> PignisticDistribution:
             low = bits & -bits
             probabilities[low.bit_length() - 1] += share
             bits ^= low
-    return PignisticDistribution(bba.frame, tuple(probabilities))
+    return probabilities
 
 
 def betp_of_subset(distribution: PignisticDistribution, subset: FocalSet) -> float:
     """Betting commitment of a subset: the sum of its members' probabilities."""
+    if not isinstance(distribution, PignisticDistribution):
+        raise _not_a(PignisticDistribution, distribution)
+    if not isinstance(subset, FocalSet):
+        raise _not_a(FocalSet, subset)
     if subset.frame != distribution.frame:
         raise FrameMismatchError("subset belongs to a different frame")
     return _left_sum(distribution.probabilities[i - 1] for i in subset.members)
@@ -146,7 +154,7 @@ def _betp_against(reference: Bba, mode: BetPMode) -> Callable[[Bba], float]:
 
     def score(candidate: Bba) -> float:
         _check_same_frame(reference, candidate)
-        diff = [a - b for a, b in zip(p1, ppt(candidate).probabilities)]
+        diff = [a - b for a, b in zip(p1, _probabilities(candidate))]
         if mode is BetPMode.ALL_SUBSETS:
             # Added left to right (see core._left_sum), inline for speed.
             total = 0.0
@@ -156,9 +164,17 @@ def _betp_against(reference: Bba, mode: BetPMode) -> Callable[[Bba], float]:
             return total
         if mode is BetPMode.SINGLETONS:
             return max(abs(d) for d in diff)
-        scanned = reference._by_bits.keys() | candidate._by_bits.keys()
-        return max(
-            abs(_left_sum(map(diff.__getitem__, _bit_positions(bits)))) for bits in scanned
-        )
+        # Each set's sum as core._left_sum adds it, inline for speed.
+        largest = 0.0
+        for bits in reference._by_bits.keys() | candidate._by_bits.keys():
+            total = 0
+            while bits:  # the set bits, lowest position first
+                low = bits & -bits
+                total += diff[low.bit_length() - 1]
+                bits ^= low
+            total = abs(total)
+            if total > largest:
+                largest = total
+        return largest
 
     return score

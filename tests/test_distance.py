@@ -19,8 +19,8 @@ from conftest import (
     ppt_by_members,
     random_bba,
 )
-from evidist.combination import combine_dempster, conflict
-from evidist.core import build_bba, build_frame
+from evidist.combination import combine_all, combine_dempster, conflict
+from evidist.core import FocalSet, _left_sum, build_bba, build_frame, mass_of
 from evidist.document import parse_document
 from evidist.distance import (
     DistanceMeasure,
@@ -31,7 +31,7 @@ from evidist.distance import (
     red_reduces_to_jousselme,
 )
 from evidist.errors import FrameMismatchError, ValidationError
-from evidist.pignistic import BetPMode, dif_betp, ppt
+from evidist.pignistic import BetPMode, betp_of_subset, dif_betp, ppt
 from evidist.ranking import rank_by_distance
 from evidist.repro import sweep_bbas
 
@@ -407,21 +407,23 @@ def pairwise_formula(text, m1, m2):
             radicand += d * (d + 2.0 * cross)
             seen.append((bits, d))
         return math.sqrt(0.5 * radicand) if radicand > 0.0 else 0.0
+    # Sums are added left to right, as the package adds them; sum()
+    # compensates its rounding from Python 3.12 on.
     p1, p2 = ppt_by_members(m1), ppt_by_members(m2)
     if text == "red":
         size = m1.frame.size
         if size == 1:
             return 0.0
         cdf_gaps = accumulate(map(sub, p1[:-1], p2[:-1]))
-        return math.sqrt(sum(c * c for c in cdf_gaps) / (size - 1))
+        return math.sqrt(_left_sum(c * c for c in cdf_gaps) / (size - 1))
     diff = [a - b for a, b in zip(p1, p2)]
     if text == "betp:all":
-        return sum((d for d in diff if d > 0.0), 0.0)
+        return _left_sum([0.0] + [d for d in diff if d > 0.0])
     if text == "betp:singleton":
         return max(abs(d) for d in diff)
     scanned = {fs.bits: fs for fs, _ in m1.entries}
     scanned.update((fs.bits, fs) for fs, _ in m2.entries)
-    return max(abs(sum(diff[i - 1] for i in fs.members)) for fs in scanned.values())
+    return max(abs(_left_sum(diff[i - 1] for i in fs.members)) for fs in scanned.values())
 
 
 class TestAgainst:
@@ -458,13 +460,16 @@ class TestAgainst:
         import evidist.pignistic
 
         calls = []
+        probabilities = evidist.pignistic._probabilities
 
-        def counting_ppt(bba):
+        def counting_probabilities(bba):
             calls.append(bba)
-            return ppt(bba)
+            return probabilities(bba)
 
-        monkeypatch.setattr(evidist.distance, "ppt", counting_ppt)
-        monkeypatch.setattr(evidist.pignistic, "ppt", counting_ppt)
+        # ppt builds the reference's from it; the scorers take each
+        # candidate's straight from it.
+        monkeypatch.setattr(evidist.distance, "_probabilities", counting_probabilities)
+        monkeypatch.setattr(evidist.pignistic, "_probabilities", counting_probabilities)
         reference = grade_categorical(1)
         candidates = [grade_categorical(i) for i in (1, 2, 3, 4, 5)]
         for text in ("red", "betp:all", "betp:singleton", "betp:focal"):
@@ -473,6 +478,39 @@ class TestAgainst:
             for candidate in candidates:
                 score(candidate)
             assert calls == [reference] + candidates
+
+
+def interval_fold(seed, size=64, sources=8):
+    """The Dempster fold of ``sources`` interval BBAs around one centre,
+    each with some whole-frame mass, and the first source. Every draw is
+    ``random.Random(seed).random()``, whose stream no Python version
+    changes. The fold keeps about 90 focal sets."""
+    draw = random.Random(seed).random
+    frame = make_frame(size)
+    full = (1 << size) - 1
+    centre = 10 + int(draw() * (size - 20))
+    bbas = []
+    for _ in range(sources):
+        weights = {full: 0.05 + 0.2 * draw()}
+        for _ in range(2 + int(draw() * 4)):
+            middle = centre - 7 + int(draw() * 15)
+            low = max(0, middle - int(draw() * 10))
+            high = min(size, middle + 1 + int(draw() * 10))
+            bits = (1 << high) - (1 << low)
+            weights[bits] = weights.get(bits, 0.0) + 0.1 + draw()
+        total = _left_sum(weights.values())
+        bbas.append(build_bba(frame, {FocalSet(frame, b): w / total for b, w in weights.items()}))
+    return combine_all(bbas), bbas[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_measures_on_a_fused_bba_equal_the_pairwise_formula(seed):
+    fused, first = interval_fold(seed)
+    assert 60 <= len(fused._by_bits) <= 130
+    for text in MEASURE_SPELLINGS:
+        measure = DistanceMeasure.parse(text)
+        for m1, m2 in ((fused, first), (first, fused)):
+            assert measure.evaluate(m1, m2) == pairwise_formula(text, m1, m2)
 
 
 NON_BBA_ENTRY_POINTS = {
@@ -496,6 +534,23 @@ def test_non_bba_operand_is_a_validation_error(entry_point, position):
     message = r"^(expected a|the reference is not a) Bba, got int$"
     with pytest.raises(ValidationError, match=message):
         entry_point(*operands)
+
+
+SUBSET = build_frame(GRADES).subset([1])
+WRONG_OPERAND_CALLS = {
+    "mass_of-bba": (lambda: mass_of(5, SUBSET), "Bba"),
+    "mass_of-set": (lambda: mass_of(grade_categorical(1), 5), "FocalSet"),
+    "betp_of_subset-distribution": (lambda: betp_of_subset(5, SUBSET), "PignisticDistribution"),
+    "betp_of_subset-set": (lambda: betp_of_subset(ppt(grade_categorical(1)), 5), "FocalSet"),
+    "jaccard_similarity-first": (lambda: jaccard_similarity(5, SUBSET), "FocalSet"),
+    "jaccard_similarity-second": (lambda: jaccard_similarity(SUBSET, 5), "FocalSet"),
+}
+
+
+@pytest.mark.parametrize("call, expected", WRONG_OPERAND_CALLS.values(), ids=WRONG_OPERAND_CALLS)
+def test_wrong_operand_type_is_a_validation_error(call, expected):
+    with pytest.raises(ValidationError, match=rf"^expected a {expected}, got int$"):
+        call()
 
 
 @settings(max_examples=60)
