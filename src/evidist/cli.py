@@ -172,11 +172,9 @@ def _cmd_repro(document, args):
     from . import repro
 
     if args.report == "examples":
-        fields = ("case", "bba_1", "bba_2", "measure", "computed", "expected", "match")
-        rows = repro.comparison_rows()
+        fields, rows = repro._COMPARISON_FIELDS, repro.comparison_rows()
     else:
-        fields = ("case", "jousselme", "betp_focal", "red")
-        rows = repro.sweep_rows()
+        fields, rows = repro._SWEEP_FIELDS, repro.sweep_rows()
     return fields, list(map(itemgetter(*fields), rows))
 
 
@@ -225,10 +223,9 @@ def run_cli(
     """Run one CLI invocation and return its exit status.
 
     The command runs, and its output is written, with the cyclic garbage
-    collector paused; the collector's prior state is restored on every
-    exit. A collection during a command could only rescan the document
-    the command holds, and by the time the collector resumes, reference
-    counting has freed it.
+    collector paused (``_CollectorPause``). A collection during a command
+    could only rescan the document the command holds, and by the time the
+    collector resumes, reference counting has freed it.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr

@@ -141,28 +141,22 @@ class Frame(_Frozen):
 
     def index_of(self, member: str | int) -> int:
         """Resolve a label or 1-based position to a 1-based position."""
-        if isinstance(member, bool):
-            raise ValidationError(f"invalid frame member {member!r}")
         if isinstance(member, str):
             bit = self._bits.get(member)
             if bit is None:
                 raise ValidationError(f"unknown label {member!r}")
             return bit.bit_length()
-        if isinstance(member, int):
+        if isinstance(member, int) and not isinstance(member, bool):
             if not 1 <= member <= self.size:
-                raise ValidationError(
-                    f"index {member} out of range 1..{self.size}"
-                )
+                raise ValidationError(f"index {member} out of range 1..{self.size}")
             return member
         raise ValidationError(f"invalid frame member {member!r}")
 
     def label(self, index: int) -> str:
         """The label at a 1-based position."""
-        if isinstance(index, bool) or not isinstance(index, int):
+        if isinstance(index, str):  # index_of would read it as a label
             raise ValidationError(f"invalid frame member {index!r}")
-        if not 1 <= index <= self.size:
-            raise ValidationError(f"index {index} out of range 1..{self.size}")
-        return self.labels[index - 1]
+        return self.labels[self.index_of(index) - 1]
 
     def subset(self, members: Iterable[str | int]) -> FocalSet:
         """Build a focal set from labels and/or 1-based positions."""
@@ -212,6 +206,10 @@ class FocalSet(_Frozen):
     _fields = ("frame", "bits")
 
     def __init__(self, frame: Frame, bits: int):
+        if not isinstance(frame, Frame):
+            raise _not_a(Frame, frame)
+        if isinstance(bits, bool) or not isinstance(bits, int):
+            raise _not_a(int, bits)
         if bits <= 0:
             raise ValidationError("a focal set must be non-empty")
         if bits >> frame.size:
@@ -393,7 +391,9 @@ class Bba(_Frozen):
 
 
 def _not_a(expected: type, value) -> ValidationError:
-    return ValidationError(f"expected a {expected.__name__}, got {type(value).__name__}")
+    name = expected.__name__
+    article = "an" if name[0] in "AEIOUaeiou" else "a"
+    return ValidationError(f"expected {article} {name}, got {type(value).__name__}")
 
 
 def _check_same_frame(m1: Bba, m2: Bba):
@@ -427,6 +427,8 @@ def build_bba(
     With ``renormalize`` the merged masses are scaled to sum to one,
     otherwise the sum must already be 1 within MASS_SUM_TOLERANCE.
     """
+    if not isinstance(frame, Frame):
+        raise _not_a(Frame, frame)
     # A list, what the document parser passes, skips the slower ABC check.
     if type(entries) is not list and isinstance(entries, Mapping):
         entries = entries.items()
@@ -478,6 +480,8 @@ def build_bba(
 
 def vacuous_bba(frame: Frame) -> Bba:
     """Total ignorance: all mass on the full frame."""
+    if not isinstance(frame, Frame):
+        raise _not_a(Frame, frame)
     return Bba(frame, ((frame.full_set(), 1.0),))
 
 

@@ -6,15 +6,12 @@ Three measures between BBAs on a shared frame:
   the focal sets, so partially overlapping sets count as partially equal.
 * ``dif_betp`` (in :mod:`evidist.pignistic`) compares betting commitments.
 * ``red_distance`` is the ranking evidence distance: the only one of the
-  three that sees the frame's grade order. Both BBAs pass through the
-  pignistic transformation and the resulting probability difference d is
-  measured in the quadratic form of the grade-closeness correlation matrix
-  S (``correlation_matrix``), so disagreement between neighbouring grades
-  costs less than disagreement between distant ones. Because d sums to
-  zero, 1/2 d^T S d equals sum_{k<N} C_k^2 / (N - 1) with C the running
-  sum of d: the distance is the normalised L2 gap between the two pignistic
-  CDFs, a discrete Cramer-von Mises statistic, computed in O(N) without
-  the matrix.
+  three that sees the frame's grade order. It measures the pignistic
+  difference in the quadratic form of the grade-closeness matrix S
+  (``correlation_matrix``), so disagreement between neighbouring grades
+  costs less than between distant ones. That is the normalised L2 gap
+  between the two pignistic CDFs, a discrete Cramer-von Mises statistic,
+  computed in O(N) without the matrix.
 
 All three are symmetric, nonnegative and zero on equal inputs; the two
 quadratic-form measures also satisfy the triangle inequality. The ranking
@@ -28,9 +25,9 @@ import math
 from collections.abc import Callable
 from functools import lru_cache, partial
 
-from .core import Bba, FocalSet, _check_same_frame, _Frozen, _left_sum, _not_a
+from .core import MAX_FRAME_SIZE, Bba, FocalSet, _check_same_frame, _Frozen, _left_sum, _not_a
 from .errors import FrameMismatchError, NumericalError, ValidationError
-from .pignistic import BetPMode, _betp_against, _betp_mode, _probabilities, ppt
+from .pignistic import BetPMode, _betp_mode, _pignistic_against, ppt
 
 # Quadratic forms of positive semidefinite matrices are nonnegative;
 # anything below this is a fault, anything above but negative is rounding.
@@ -87,19 +84,25 @@ def jousselme_distance(m1: Bba, m2: Bba) -> float:
     return _sqrt_half_radicand(radicand)
 
 
-@lru_cache(maxsize=None)
 def correlation_matrix(size: int) -> tuple[tuple[float, ...], ...]:
-    """Grade-closeness matrix S with entries 1 - |i - j| / (N - 1).
+    """Grade-closeness matrix S with entries 1 - |i - j| / (N - 1), for a
+    frame size N in 1..MAX_FRAME_SIZE.
 
     Symmetric, Toeplitz, unit diagonal, linearly decaying to 0 at the
-    maximal grade distance, and positive semidefinite. For a single-grade
-    frame the 1x1 identity. Returned as a tuple of row tuples, cached per
-    size; being immutable, one fully built instance is shared by every
-    caller, and an array library's ``asarray`` converts it as it stands.
-    This is the definition ``red_distance`` evaluates in closed form.
+    maximal grade distance, and positive semidefinite; the 1x1 identity
+    for one grade. Returned as a tuple of row tuples, cached per size;
+    being immutable, one instance is shared by every caller, and an array
+    library's ``asarray`` converts it as it stands. This is the definition
+    ``red_distance`` evaluates in closed form.
     """
-    if size < 1:
-        raise ValidationError("frame size must be at least 1")
+    # Checked outside the cache: True would find the entry for 1.
+    if isinstance(size, bool) or not isinstance(size, int) or not 1 <= size <= MAX_FRAME_SIZE:
+        raise ValidationError(f"frame size must be an int in 1..{MAX_FRAME_SIZE}, got {size!r}")
+    return _correlation_matrix(size)
+
+
+@lru_cache(maxsize=None)  # at most MAX_FRAME_SIZE entries
+def _correlation_matrix(size: int) -> tuple[tuple[float, ...], ...]:
     span = max(size - 1, 1)
     return tuple(
         tuple(1.0 - abs(i - j) / span for j in range(size)) for i in range(size)
@@ -113,33 +116,14 @@ def red_distance(m1: Bba, m2: Bba) -> float:
     vectors the Jaccard weighting collapses to the identity and the grade
     order enters solely through the correlation matrix S. With d the
     pignistic difference and C_k = d_1 + ... + d_k the gap between the two
-    pignistic CDFs at grade k, sqrt(1/2 d^T S d) equals
+    pignistic CDFs at grade k, sqrt(1/2 d^T S d) equals, as d sums to 0,
     sqrt(sum_{k<N} C_k^2 / (N - 1)), which is how it is computed. For
     categorical BBAs on grades i and j this reduces to
     sqrt(|i - j| / (N - 1)), which is what makes the measure strictly
     order-monotone where the other two measures saturate.
+    The scorer, shared with ``dif_betp``, is ``pignistic._pignistic_against``.
     """
-    return _red_against(m1)(m2)
-
-
-def _red_against(reference: Bba) -> Callable[[Bba], float]:
-    """``red_distance(reference, candidate)`` as a function of the
-    candidate, with the reference transformed once."""
-    p1 = ppt(reference).probabilities[:-1]  # first: ppt checks it is a Bba
-    size = reference.frame.size
-
-    def score(candidate: Bba) -> float:
-        _check_same_frame(reference, candidate)
-        if size == 1:
-            return 0.0
-        # Added left to right (see core._left_sum), inline for speed.
-        gap = total = 0.0
-        for a, b in zip(p1, _probabilities(candidate)):  # p1 is one shorter
-            gap += a - b
-            total += gap * gap
-        return math.sqrt(total / (size - 1))
-
-    return score
+    return _pignistic_against(m1, None)(m2)
 
 
 def red_reduces_to_jousselme(m1: Bba, m2: Bba) -> tuple[float, float]:
@@ -183,6 +167,8 @@ class DistanceMeasure(_Frozen):
     @classmethod
     def parse(cls, text: str) -> "DistanceMeasure":
         """Parse a measure name: red, jousselme, or betp[:all|singleton|focal]."""
+        if not isinstance(text, str):
+            raise _not_a(str, text)
         name, separator, mode_text = text.partition(":")
         if separator and name != "betp":
             raise ValidationError(f"measure {name!r} does not take a mode")
@@ -204,9 +190,7 @@ class DistanceMeasure(_Frozen):
             raise ValidationError(f"the reference is not a Bba, got {type(reference).__name__}")
         if self.kind == "jousselme":
             return partial(jousselme_distance, reference)
-        if self.kind == "red":
-            return _red_against(reference)
-        return _betp_against(reference, self.mode)
+        return _pignistic_against(reference, self.mode)  # mode None is red
 
     def evaluate(self, m1: Bba, m2: Bba) -> float:
         return self.against(m1)(m2)

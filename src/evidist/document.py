@@ -23,7 +23,7 @@ import gc
 import json
 import math
 
-from .core import _TABLE_TYPES, Bba, Frame, _bit_positions, _Frozen, build_bba, build_frame
+from .core import _TABLE_TYPES, Bba, Frame, _bit_positions, _Frozen, _not_a, build_bba, build_frame
 from .errors import DocumentError, ValidationError
 
 
@@ -134,12 +134,10 @@ def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     built, so the decoded document and the parsed one are never both
     held in full.
 
-    Parsing pauses the cyclic garbage collector and restores its prior
-    state on return, also when it raises. Nothing the parse builds forms
-    a cycle: what it keeps stays reachable until it returns, and what it
-    releases reference counting frees, so a collection could free nothing
-    and would only rescan it. The pause is process-wide; another thread
-    that re-enables the collector meanwhile costs only speed.
+    Parsing pauses the cyclic garbage collector (``_CollectorPause``).
+    Nothing the parse builds forms a cycle: what it keeps stays reachable
+    until it returns, and what it releases reference counting frees, so a
+    collection could free nothing and would only rescan it.
     """
     with _CollectorPause():
         return _parse(text, renormalize)
@@ -233,6 +231,8 @@ def _parse(text: str, renormalize: bool) -> EvidenceDocument:
 
 def serialize_document(document: EvidenceDocument) -> str:
     """Render a document back to text; parsing the result reproduces it."""
+    if not isinstance(document, EvidenceDocument):
+        raise _not_a(EvidenceDocument, document)
     labels = document.frame.labels
     payload = {
         "frame": list(labels),

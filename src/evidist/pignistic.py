@@ -4,6 +4,8 @@ The pignistic transformation turns a BBA into a probability distribution
 for decision making by splitting each focal mass evenly over the set's
 members. The betting commitment of a subset is its probability under that
 distribution; ``dif_betp`` measures how far apart two BBAs can bet.
+``_pignistic_against`` here scores both ``dif_betp`` and
+``distance.red_distance``.
 """
 
 from __future__ import annotations
@@ -144,19 +146,29 @@ def dif_betp(m1: Bba, m2: Bba, mode: BetPMode | str = BetPMode.ALL_SUBSETS) -> f
     difference (their total variation). The other modes scan only the
     stated subsets. ``mode`` may also be given as its value string.
     """
-    return _betp_against(m1, _betp_mode(mode))(m2)
+    return _pignistic_against(m1, _betp_mode(mode))(m2)
 
 
-def _betp_against(reference: Bba, mode: BetPMode) -> Callable[[Bba], float]:
-    """``dif_betp(reference, candidate, mode)`` as a function of the
-    candidate, with the reference transformed once."""
-    p1 = ppt(reference).probabilities
+def _pignistic_against(reference: Bba, mode: BetPMode | None) -> Callable[[Bba], float]:
+    """``red_distance`` (``mode`` None) or ``dif_betp`` from ``reference``
+    as a function of the candidate, with the reference transformed once.
+    Sums are added left to right (see core._left_sum), inline for speed."""
+    p1 = ppt(reference).probabilities  # first: ppt checks it is a Bba
+    if mode is None:
+        p1 = p1[:-1]  # the last CDF gap is always 0
+    span = len(p1)  # N - 1 for red
 
     def score(candidate: Bba) -> float:
         _check_same_frame(reference, candidate)
-        diff = [a - b for a, b in zip(p1, _probabilities(candidate))]
+        p2 = _probabilities(candidate)
+        if mode is None:
+            gap = total = 0.0
+            for a, b in zip(p1, p2):
+                gap += a - b
+                total += gap * gap
+            return math.sqrt(total / span) if span else 0.0
+        diff = [a - b for a, b in zip(p1, p2)]
         if mode is BetPMode.ALL_SUBSETS:
-            # Added left to right (see core._left_sum), inline for speed.
             total = 0.0
             for d in diff:
                 if d > 0.0:
@@ -164,7 +176,6 @@ def _betp_against(reference: Bba, mode: BetPMode) -> Callable[[Bba], float]:
             return total
         if mode is BetPMode.SINGLETONS:
             return max(abs(d) for d in diff)
-        # Each set's sum as core._left_sum adds it, inline for speed.
         largest = 0.0
         for bits in reference._by_bits.keys() | candidate._by_bits.keys():
             total = 0

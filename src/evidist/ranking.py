@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .core import Bba, _Frozen
+from .core import Bba, _Frozen, _not_a
 from .distance import DistanceMeasure
 from .errors import FrameMismatchError, ValidationError
 
@@ -52,6 +52,8 @@ def rank_by_distance(
     items = list(candidates.items()) if isinstance(candidates, Mapping) else list(candidates)
     if not items:
         raise ValidationError("no candidates to rank")
+    if not isinstance(measure, DistanceMeasure):
+        raise _not_a(DistanceMeasure, measure)
     score = measure.against(reference)  # checks that the reference is a Bba
     frame = reference.frame
     for position, item in enumerate(items, 1):
@@ -62,13 +64,9 @@ def rank_by_distance(
                 f"candidate {position} is not a (name, Bba) pair, got {item!r}"
             ) from None
         if not isinstance(bba, Bba):
-            raise ValidationError(
-                f"candidate {name!r} is not a Bba, got {type(bba).__name__}"
-            )
+            raise ValidationError(f"candidate {name!r} is not a Bba, got {type(bba).__name__}")
         if bba.frame is not frame and bba.frame != frame:
-            raise FrameMismatchError(
-                f"candidate {name!r} is defined on a different frame"
-            )
+            raise FrameMismatchError(f"candidate {name!r} is defined on a different frame")
     scored = [(score(bba), index, name) for index, (name, bba) in enumerate(items)]
     scored.sort(key=lambda t: (t[0], t[1]))
 

@@ -28,6 +28,8 @@ DISPLAY_TOLERANCE = 5e-4
 COMPARISON_CASES = ("singletons", "disjoint-pairs", "overlapping-pairs")
 COMPARISON_PAIRS = (("m1", "m2"), ("m1", "m3"))
 COMPARISON_MEASURES = ("jousselme", "betp:all", "red")
+# Each report's columns, in order, are its rows' keys.
+_COMPARISON_FIELDS = ("case", "bba_1", "bba_2", "measure", "computed", "expected", "match")
 
 _CASE_BBAS = {
     "singletons": {
@@ -97,22 +99,14 @@ def comparison_rows() -> list[dict]:
                 computed = evaluate(document.bba(first), document.bba(second))
                 expected = COMPARISON_REFERENCE[(case, (first, second), measure)]
                 match = abs(round(computed, 4) - expected) <= DISPLAY_TOLERANCE + 1e-12
-                rows.append(
-                    {
-                        "case": case,
-                        "bba_1": first,
-                        "bba_2": second,
-                        "measure": measure,
-                        "computed": computed,
-                        "expected": expected,
-                        "match": match,
-                    }
-                )
+                row = (case, first, second, measure, computed, expected, match)
+                rows.append(dict(zip(_COMPARISON_FIELDS, row)))
     return rows
 
 
 SWEEP_FRAME_SIZE = 20
 SWEEP_CASES = tuple(range(1, SWEEP_FRAME_SIZE + 1))
+_SWEEP_FIELDS = ("case", "jousselme", "betp_focal", "red")
 
 
 def sweep_bbas(case: int) -> tuple[Bba, Bba]:
@@ -141,12 +135,7 @@ def sweep_rows() -> list[dict]:
     rows = []
     for case in SWEEP_CASES:
         m1, m2 = sweep_bbas(case)
-        rows.append(
-            {
-                "case": case,
-                "jousselme": jousselme_distance(m1, m2),
-                "betp_focal": dif_betp(m1, m2, BetPMode.FOCAL_SETS),
-                "red": red_distance(m1, m2),
-            }
-        )
+        betp_focal = dif_betp(m1, m2, BetPMode.FOCAL_SETS)
+        row = (case, jousselme_distance(m1, m2), betp_focal, red_distance(m1, m2))
+        rows.append(dict(zip(_SWEEP_FIELDS, row)))
     return rows

@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -15,13 +14,14 @@ from evidist.errors import ValidationError
 
 
 def brute_force_max_gap(diff) -> float:
-    """Max |sum over A of diff| over all non-empty subsets, by enumeration."""
-    n = len(diff)
-    index = np.arange(1 << n, dtype=np.int64)
-    sums = np.zeros(1 << n)
-    for b in range(n):
-        sums += np.where(index >> b & 1, diff[b], 0.0)
-    return float(np.abs(sums).max())
+    """Max |sum over A of diff| over all non-empty subsets, by enumeration.
+
+    Each coordinate extends every sum so far, so a subset's sum adds its
+    members in ascending order."""
+    sums = [0.0]
+    for d in diff:
+        sums += [s + d for s in sums]
+    return max(abs(s) for s in sums)
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,6 @@ from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -418,6 +417,12 @@ class TestTextIsNotASet:
         assert build_bba(frame, {("AB",): 1.0}).focal_sets == (frame.subset([3]),)
 
 
+def _float64_half():
+    import numpy as np
+
+    return np.float64(0.5)
+
+
 class TestMassTypes:
     """Both public constructors take numbers, never text or bools, as masses."""
 
@@ -440,11 +445,12 @@ class TestMassTypes:
             Bba(frame, [(frame.subset(["Poor"]), bad)])
 
     @pytest.mark.parametrize(
-        "half",
-        [Fraction(1, 2), Decimal("0.5"), np.float64(0.5)],
+        "make_half",
+        [lambda: Fraction(1, 2), lambda: Decimal("0.5"), _float64_half],
         ids=["Fraction", "Decimal", "float64"],
     )
-    def test_other_numbers_stored_as_float(self, half):
+    def test_other_numbers_stored_as_float(self, make_half):
+        half = make_half()
         frame = build_frame(GRADES)
         poor, low = frame.subset(["Poor"]), frame.subset(["Low"])
         for bba in (

@@ -6,7 +6,6 @@ import re
 from itertools import accumulate
 from operator import sub
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +19,8 @@ from conftest import (
     random_bba,
 )
 from evidist.combination import combine_all, combine_dempster, conflict
-from evidist.core import FocalSet, _left_sum, build_bba, build_frame, mass_of
-from evidist.document import parse_document
+from evidist.core import FocalSet, _left_sum, build_bba, build_frame, mass_of, vacuous_bba
+from evidist.document import parse_document, serialize_document
 from evidist.distance import (
     DistanceMeasure,
     correlation_matrix,
@@ -95,6 +94,8 @@ class TestJousselme:
 
 def jousselme_full_basis(m1, m2):
     """Oracle: evaluate the quadratic form over the entire powerset basis."""
+    import numpy as np
+
     n = m1.frame.size
     masks = np.arange(1, 1 << n)
     popcount = np.array([m.bit_count() for m in range(1 << n)])
@@ -139,6 +140,8 @@ class TestQuadraticFormGuard:
 
 class TestCorrelationMatrix:
     def test_five_grade_matrix(self):
+        import numpy as np
+
         expected = np.array(
             [
                 [1.0, 0.75, 0.5, 0.25, 0.0],
@@ -151,6 +154,8 @@ class TestCorrelationMatrix:
         assert np.array_equal(correlation_matrix(5), expected)
 
     def test_two_grades_is_identity(self):
+        import numpy as np
+
         assert np.array_equal(correlation_matrix(2), np.eye(2))
 
     def test_twenty_grades_corners(self):
@@ -159,6 +164,8 @@ class TestCorrelationMatrix:
         assert s[0][1] == pytest.approx(1 - 1 / 19, abs=1e-15)
 
     def test_single_grade(self):
+        import numpy as np
+
         assert np.array_equal(correlation_matrix(1), np.eye(1))
 
     def test_zero_rejected(self):
@@ -168,6 +175,8 @@ class TestCorrelationMatrix:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 10, 20, 35, 50])
     def test_structure_and_psd(self, size):
+        import numpy as np
+
         s = np.asarray(correlation_matrix(size))
         assert np.array_equal(s, s.T)
         assert np.all(np.diag(s) == 1.0)
@@ -176,6 +185,11 @@ class TestCorrelationMatrix:
             diag = np.diagonal(s, offset)
             assert np.all(diag == diag[0])  # Toeplitz
         assert np.linalg.eigvalsh(s).min() >= -1e-10
+
+    @pytest.mark.parametrize("size", [True, 2.5, "3", 0, 65])
+    def test_only_frame_sizes_are_accepted(self, size):
+        with pytest.raises(ValidationError, match=r"^frame size must be an int in 1\.\.64, got "):
+            correlation_matrix(size)
 
     def test_cached_and_read_only(self):
         s = correlation_matrix(7)
@@ -187,6 +201,8 @@ class TestCorrelationMatrix:
 
     @pytest.mark.parametrize("size", range(1, 65))
     def test_bit_identical_to_array_formula(self, size):
+        import numpy as np
+
         if size == 1:
             expected = np.ones((1, 1))
         else:
@@ -270,6 +286,8 @@ class TestRedDistance:
 
     @given(pair=bba_pairs(max_size=12))
     def test_zero_sum_quadratic_identity(self, pair):
+        import numpy as np
+
         # With sum(d) = 0 the S-form equals -(1/(N-1)) * sum d_i d_j |i-j|.
         m1, m2 = pair
         size = m1.frame.size
@@ -282,6 +300,8 @@ class TestRedDistance:
 
     @given(pair=bba_pairs(min_size=1, max_size=64))
     def test_closed_form_equals_matrix_form(self, pair):
+        import numpy as np
+
         # The definition: sqrt(1/2 d^T S d) on the pignistic difference d.
         m1, m2 = pair
         d = np.array(ppt(m1).probabilities) - np.array(ppt(m2).probabilities)
@@ -456,7 +476,6 @@ class TestAgainst:
             measure.evaluate(5, grade_categorical(1))
 
     def test_reference_is_transformed_once(self, monkeypatch):
-        import evidist.distance
         import evidist.pignistic
 
         calls = []
@@ -466,9 +485,8 @@ class TestAgainst:
             calls.append(bba)
             return probabilities(bba)
 
-        # ppt builds the reference's from it; the scorers take each
+        # ppt builds the reference's from it; the one scorer takes each
         # candidate's straight from it.
-        monkeypatch.setattr(evidist.distance, "_probabilities", counting_probabilities)
         monkeypatch.setattr(evidist.pignistic, "_probabilities", counting_probabilities)
         reference = grade_categorical(1)
         candidates = [grade_categorical(i) for i in (1, 2, 3, 4, 5)]
@@ -550,6 +568,29 @@ WRONG_OPERAND_CALLS = {
 @pytest.mark.parametrize("call, expected", WRONG_OPERAND_CALLS.values(), ids=WRONG_OPERAND_CALLS)
 def test_wrong_operand_type_is_a_validation_error(call, expected):
     with pytest.raises(ValidationError, match=rf"^expected a {expected}, got int$"):
+        call()
+
+
+FRAME = SUBSET.frame
+BAD_OPERAND_CALLS = {
+    "FocalSet-bool-bits": (lambda: FocalSet(FRAME, True), "int", "bool"),
+    "FocalSet-float-bits": (lambda: FocalSet(FRAME, 1.5), "int", "float"),
+    "FocalSet-frame": (lambda: FocalSet(5, 1), "Frame", "int"),
+    "build_bba-frame": (lambda: build_bba(5, [([1], 1.0)]), "Frame", "int"),
+    "vacuous_bba-frame": (lambda: vacuous_bba(5), "Frame", "int"),
+    "serialize_document": (lambda: serialize_document(5), "EvidenceDocument", "int"),
+    "DistanceMeasure.parse": (lambda: DistanceMeasure.parse(None), "str", "NoneType"),
+    "rank_by_distance-measure": (
+        lambda: rank_by_distance(grade_categorical(1), {"x": grade_categorical(2)}, "red"),
+        "DistanceMeasure",
+        "str",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected, got", BAD_OPERAND_CALLS.values(), ids=BAD_OPERAND_CALLS)
+def test_bad_operand_names_the_expected_type(call, expected, got):
+    with pytest.raises(ValidationError, match=rf"^expected an? {expected}, got {got}$"):
         call()
 
 

@@ -1,15 +1,19 @@
 """Ranking candidates by distance to a reference."""
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bba_pairs, make_frame, random_bba
 from evidist.core import build_bba, build_frame
 from evidist.distance import DistanceMeasure
+from evidist.document import parse_document
 from evidist.errors import FrameMismatchError, ValidationError
-from evidist.ranking import rank_by_distance
+from evidist.ranking import TIE_TOLERANCE, rank_by_distance
 
 GRADES = ("Poor", "Low", "Middle", "High", "Perfect")
 
@@ -172,3 +176,78 @@ def test_shuffle_invariance_of_scored_multiset():
         assert [e.distance for e in result.entries] == sorted(
             e.distance for e in result.entries
         )
+
+
+def random_document(seed):
+    """A small document text: up to ten BBAs on two to six grades, drawn
+    from a small pool of focal sets so that equal and near-equal BBAs
+    occur, with masses from ``random.Random(seed).random()``."""
+    rng = random.Random(seed)
+    size = rng.randint(2, 6)
+    pool = rng.sample(range(1, 1 << size), min(4, (1 << size) - 1))
+    bbas = {}
+    for k in range(rng.randint(2, 10)):
+        sets = rng.sample(pool, rng.randint(1, len(pool)))
+        weights = [rng.random() + 1e-3 for _ in sets]
+        total = sum(weights)
+        bbas[f"m{k}"] = [
+            {"set": [i + 1 for i in range(size) if bits >> i & 1], "mass": w / total}
+            for bits, w in zip(sets, weights)
+        ]
+    return json.dumps({"frame": [f"g{i}" for i in range(1, size + 1)], "bbas": bbas})
+
+
+def exact_key(text, reference, candidate):
+    """The measure in rational arithmetic on the BBAs' float masses, as a
+    radicand for red and jousselme, whose roots keep its order."""
+    m1 = {bits: Fraction(mass) for bits, mass in reference._by_bits.items()}
+    m2 = {bits: Fraction(mass) for bits, mass in candidate._by_bits.items()}
+    if text == "jousselme":
+        focal = sorted(m1.keys() | m2.keys())
+        d = [m1.get(a, 0) - m2.get(a, 0) for a in focal]
+        return sum(
+            d[i] * d[j] * Fraction((a & b).bit_count(), (a | b).bit_count())
+            for i, a in enumerate(focal)
+            for j, b in enumerate(focal)
+        ) / 2
+    size = reference.frame.size
+    delta = [Fraction(0)] * size
+    for masses, sign in ((m1, 1), (m2, -1)):
+        for bits, mass in masses.items():
+            for i in range(size):
+                if bits >> i & 1:
+                    delta[i] += sign * mass / bits.bit_count()
+    if text == "red":
+        cdf = [sum(delta[: k + 1]) for k in range(size - 1)]
+        return sum(c * c for c in cdf) / (size - 1)
+    if text == "betp:all":
+        return sum(x for x in delta if x > 0)
+    if text == "betp:singleton":
+        return max(abs(x) for x in delta)
+    return max(  # betp:focal
+        abs(sum(x for i, x in enumerate(delta) if bits >> i & 1))
+        for bits in m1.keys() | m2.keys()
+    )
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ranking_agrees_with_exact_ranking_outside_ties(seed):
+    document = parse_document(random_document(seed))
+    names = list(document.bbas)
+    reference = document.bba(names[seed % len(names)])
+    for text in ("red", "jousselme", "betp:all", "betp:singleton", "betp:focal"):
+        result = rank_by_distance(reference, document.bbas, DistanceMeasure.parse(text))
+        # Tie clusters as the ranking forms them: over the sorted distances,
+        # a new one starts wherever the gap exceeds TIE_TOLERANCE.
+        cluster_of, exact, previous = {}, [], None
+        for entry in sorted(result.entries, key=lambda e: e.distance):
+            if previous is None or entry.distance - previous > TIE_TOLERANCE:
+                exact.append([])
+            previous = entry.distance
+            cluster_of[entry.name] = len(exact) - 1
+            exact[-1].append(exact_key(text, reference, document.bba(entry.name)))
+        ranked = [cluster_of[entry.name] for entry in result.entries]
+        assert ranked == sorted(ranked), (text, seed)
+        for lower, upper in zip(exact, exact[1:]):
+            assert max(lower) < min(upper), (text, seed)
