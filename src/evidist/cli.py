@@ -6,6 +6,9 @@ displayed with exactly 4 decimal places so repeated runs are
 byte-identical. Exit codes: 0 success, 1 usage error, 2 parse or
 validation error, 3 computation error.
 
+``_GRAMMAR`` states the arguments. argparse, built from it, is imported
+only for help, usage errors and non-canonical spellings.
+
 A command takes the document its ``file`` argument names, read in one
 place, and returns its column names and its rows as tuples in that
 order. It imports the modules it uses when it runs, so a process
@@ -14,12 +17,12 @@ compiles only those (``validate`` needs none beyond the parser).
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import sys
 from collections.abc import Sequence
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .core import _left_sum
 from .document import EvidenceDocument, _CollectorPause, parse_document
@@ -39,56 +42,58 @@ class _HelpRequested(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # Raise where argparse would print and exit, so that run_cli writes
-    # usage errors and help text to the streams it was given.
-    def error(self, message):
-        raise _UsageError(message)
+def _build_parser():
+    """argparse's parser of _GRAMMAR, for what _parse_well_formed refuses."""
+    import argparse
 
-    def print_help(self, file=None):
-        raise _HelpRequested(self.format_help())
+    class _Parser(argparse.ArgumentParser):
+        # Raise where argparse would print and exit, so that run_cli writes
+        # usage errors and help text to the streams it was given.
+        def error(self, message):
+            raise _UsageError(message)
 
+        def print_help(self, file=None):
+            raise _HelpRequested(self.format_help())
 
-def _build_parser() -> _Parser:
     parser = _Parser(
         prog="evidist",
         description="Evidence distances and BBA ranking on ordered frames.",
     )
     parser.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        help="output format (default: csv)",
+        "--format", choices=_FORMATS, default=_FORMATS[0], help="output format (default: csv)"
     )
     commands = parser.add_subparsers(dest="command", metavar="command")
-    measure_help = "red, jousselme, or betp[:all|singleton|focal] (default: red)"
-
-    def file_command(name: str, summary: str) -> _Parser:
-        # A command with a document to read (see _run_command).
+    for name, (_, summary, (positional, about, choices), options) in _GRAMMAR.items():
         p = commands.add_parser(name, help=summary)
-        p.add_argument("file", help="evidence document")
-        return p
-
-    file_command("validate", "check a document and summarize its BBAs")
-
-    p = file_command("combine", "combine BBAs with Dempster's rule")
-    p.add_argument("--bbas", required=True, help="comma-separated BBA names (two or more)")
-
-    p = file_command("ppt", "pignistic probability transformation of a BBA")
-    p.add_argument("--bba", required=True, help="BBA name")
-
-    p = file_command("dist", "distance between two BBAs")
-    p.add_argument("--pair", required=True, help="two comma-separated BBA names")
-    p.add_argument("--measure", default="red", help=measure_help)
-
-    p = file_command("rank", "rank all BBAs by distance to a reference")
-    p.add_argument("--reference", required=True, help="reference BBA name")
-    p.add_argument("--measure", default="red", help=measure_help)
-
-    p = commands.add_parser("repro", help="recompute a built-in benchmark report")
-    p.add_argument("report", choices=("examples", "sweep"), help="which report")
-
+        p.add_argument(positional, choices=choices, help=about)
+        for flag, about, default in options:
+            p.add_argument(flag, required=default is None, default=default, help=about)
     return parser
+
+
+def _parse_well_formed(argv: Sequence[str] | None) -> SimpleNamespace | None:
+    """argparse's namespace for a canonical argv, else None: [--format F]
+    command, then its positional and options once each, in any order,
+    with values non-empty and not "-"-led."""
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    fmt, token = _FORMATS[0], next(tokens, None)
+    if token == "--format":
+        fmt, token = next(tokens, None), next(tokens, None)
+    if fmt not in _FORMATS or token not in _GRAMMAR:
+        return None
+    args = {"format": fmt, "command": token}
+    _, _, (positional, _, choices), options = _GRAMMAR[token]
+    defaults = {flag[2:]: default for flag, _, default in options}
+    for token in tokens:
+        dest = token[2:] if token[:2] == "--" and token[2:] in defaults else positional
+        value = token if dest == positional else next(tokens, "")
+        if dest in args or not value or value[0] == "-":
+            return None
+        args[dest] = value
+    args = {positional: None, **defaults, **args}
+    if None in args.values() or choices and args[positional] not in choices:
+        return None
+    return SimpleNamespace(**args)
 
 
 def _load_document(path: str) -> EvidenceDocument:
@@ -178,13 +183,24 @@ def _cmd_repro(document, args):
     return fields, list(map(itemgetter(*fields), rows))
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "combine": _cmd_combine,
-    "ppt": _cmd_ppt,
-    "dist": _cmd_dist,
-    "rank": _cmd_rank,
-    "repro": _cmd_repro,
+_FORMATS = ("csv", "json")
+_FILE = ("file", "evidence document", None)
+_MEASURE = ("--measure", "red, jousselme, or betp[:all|singleton|focal] (default: red)", "red")
+
+# command: (function, summary, (positional, help, choices), options);
+# option: (flag, help, default), required if default is None.
+_GRAMMAR = {
+    "validate": (_cmd_validate, "check a document and summarize its BBAs", _FILE, ()),
+    "combine": (_cmd_combine, "combine BBAs with Dempster's rule", _FILE,
+                (("--bbas", "comma-separated BBA names (two or more)", None),)),
+    "ppt": (_cmd_ppt, "pignistic probability transformation of a BBA", _FILE,
+            (("--bba", "BBA name", None),)),
+    "dist": (_cmd_dist, "distance between two BBAs", _FILE,
+             (("--pair", "two comma-separated BBA names", None), _MEASURE)),
+    "rank": (_cmd_rank, "rank all BBAs by distance to a reference", _FILE,
+             (("--reference", "reference BBA name", None), _MEASURE)),
+    "repro": (_cmd_repro, "recompute a built-in benchmark report",
+              ("report", "which report", ("examples", "sweep")), ()),
 }
 
 
@@ -229,9 +245,8 @@ def run_cli(
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_well_formed(argv) or _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"evidist: {exc}", file=err)
         return EXIT_USAGE
@@ -249,7 +264,7 @@ def _run_command(args, out: io.TextIOBase, err: io.TextIOBase) -> int:
     try:
         # Read before any argument check: a bad document is reported first.
         document = _load_document(args.file) if hasattr(args, "file") else None
-        fields, rows = _COMMANDS[args.command](document, args)
+        fields, rows = _GRAMMAR[args.command][0](document, args)
     except _UsageError as exc:
         print(f"evidist: {exc}", file=err)
         return EXIT_USAGE

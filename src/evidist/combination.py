@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import reduce
 
-from .core import MASS_SUM_TOLERANCE, Bba, _check_same_frame, _left_sum
+from .core import MASS_SUM_TOLERANCE, Bba, _check_same_frame, _iterate, _left_sum
 from .errors import TotalConflictError, ValidationError
 
 # 1 - k below this margin would divide the combined masses by a denormal.
@@ -78,7 +78,7 @@ def combine_dempster(m1: Bba, m2: Bba) -> Bba:
 
 def combine_all(bbas: Iterable[Bba]) -> Bba:
     """Left fold of the binary rule; order does not change the result."""
-    bbas = list(bbas)
+    bbas = list(_iterate(bbas))
     if not bbas:
         raise ValidationError("need at least one BBA to combine")
     for position, bba in enumerate(bbas, 1):

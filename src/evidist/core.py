@@ -313,8 +313,10 @@ class Bba(_Frozen):
     _fields = ("frame", "_by_bits")
 
     def __init__(self, frame: Frame, entries: Iterable[tuple[FocalSet, float]]):
+        if not isinstance(frame, Frame):
+            raise _not_a(Frame, frame)
         by_bits: dict[int, float] = {}
-        for entry in entries:
+        for entry in _iterate(entries):
             try:
                 focal_set, mass = entry
             except (TypeError, ValueError):
@@ -394,6 +396,13 @@ def _not_a(expected: type, value) -> ValidationError:
     name = expected.__name__
     article = "an" if name[0] in "AEIOUaeiou" else "a"
     return ValidationError(f"expected {article} {name}, got {type(value).__name__}")
+
+
+def _iterate(values) -> Iterator:
+    try:
+        return iter(values)
+    except TypeError:
+        raise _not_a(Iterable, values) from None
 
 
 def _check_same_frame(m1: Bba, m2: Bba):

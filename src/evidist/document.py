@@ -139,6 +139,8 @@ def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     until it returns, and what it releases reference counting frees, so a
     collection could free nothing and would only rescan it.
     """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise _not_a(str, text)
     with _CollectorPause():
         return _parse(text, renormalize)
 

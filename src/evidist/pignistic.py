@@ -21,6 +21,7 @@ from .core import (
     Frame,
     _check_same_frame,
     _Frozen,
+    _iterate,
     _left_sum,
     _not_a,
 )
@@ -81,14 +82,21 @@ class PignisticDistribution(_Frozen):
         be zeros: a negative probability is rejected even where the
         positive ones sum to one.
         """
-        frame, probabilities = self.frame, self.probabilities
+        frame = self.frame
+        if not isinstance(frame, Frame):
+            raise _not_a(Frame, frame)
+        probabilities = tuple(_iterate(self.probabilities))
         if len(probabilities) != frame.size:
             raise ValidationError(
                 f"distribution has {len(probabilities)} probabilities "
                 f"for a frame of {frame.size} grades"
             )
         for label, p in zip(frame.labels, probabilities):
-            if not math.isfinite(p):
+            try:
+                finite = math.isfinite(p)
+            except TypeError:
+                raise _not_a(float, p) from None
+            if not finite:
                 raise ValidationError(
                     f"probability of grade {label!r} must be finite, got {p!r}"
                 )

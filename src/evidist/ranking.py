@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .core import Bba, _Frozen, _not_a
+from .core import Bba, _Frozen, _iterate, _not_a
 from .distance import DistanceMeasure
 from .errors import FrameMismatchError, ValidationError
 
@@ -49,7 +49,7 @@ def rank_by_distance(
     TIE_TOLERANCE keep their input order and are flagged as tied rather
     than silently ordered: a tie means the measure cannot separate them.
     """
-    items = list(candidates.items()) if isinstance(candidates, Mapping) else list(candidates)
+    items = list(candidates.items() if isinstance(candidates, Mapping) else _iterate(candidates))
     if not items:
         raise ValidationError("no candidates to rank")
     if not isinstance(measure, DistanceMeasure):

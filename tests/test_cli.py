@@ -11,9 +11,12 @@ import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evidist
 from conftest import EDGE_SUM_DOCUMENT
+from evidist import cli as cli_module
 from evidist.cli import run_cli
 
 SINGLETONS = """\
@@ -261,6 +264,81 @@ class TestUsage:
         assert (code, err) == (0, "")
         assert out.startswith(usage)
         assert capsys.readouterr() == ("", "")
+
+
+def argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None for a usage error,
+    help or a missing command."""
+    try:
+        args = cli_module._build_parser().parse_args(argv)
+    except (cli_module._UsageError, cli_module._HelpRequested):
+        return None
+    return None if args.command is None else vars(args)
+
+
+OPTIONS = sorted({flag for *_, options in cli_module._GRAMMAR.values() for flag, _, _ in options})
+ODD_FLAGS = ("--format", "--ref", "--meas", "--b", "--form", "--loud", "-h", "--help", "--")
+GOOD = ("m1", "m1,m2", "red", "betp:focal", "json", "examples", "sweep", "doc.json", "rank", "a b")
+BAD = ("", "-", "-1", "-x", "--", "-h", "--bba")
+HEADS = [(), (), ("--format", "csv"), ("--format", "json"), ("--format",), ("--format", "xml"),
+         ("--format=json",), ("-h",), ("--",)]
+
+
+@st.composite
+def command_lines(draw):
+    """argv in the shape the CLI takes: a command with its positional and
+    its options in any order, then up to three of the usual ways to get it
+    wrong: items repeated, left out or abbreviated, --opt=value, a flag
+    without its value, a value that is empty or starts with "-", --format
+    after the command, -h and --."""
+    head = draw(st.sampled_from(HEADS))
+    command = draw(st.sampled_from([*cli_module._GRAMMAR, None, "nope"]))
+    _, _, (_, _, choices), options = cli_module._GRAMMAR.get(command, (0, 0, (0, 0, None), ()))
+    value = st.sampled_from(GOOD + GOOD + BAD)
+    items = [(draw(st.sampled_from(choices + ("m1",)) if choices else value),)]
+    items += [(flag, draw(value)) for flag, _, _ in options]
+    items = draw(st.permutations(items))
+    flag = st.sampled_from(OPTIONS + list(ODD_FLAGS))
+    noise = st.one_of(
+        st.tuples(flag, value),
+        st.tuples(value),
+        st.builds("{}={}".format, flag, value).map(lambda token: (token,)),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        index = draw(st.integers(0, len(items)))
+        action = draw(st.sampled_from(("insert", "delete", "drop value")))
+        if action == "insert":
+            items.insert(index, draw(noise))
+        elif index < len(items):
+            items[index : index + 1] = [] if action == "delete" else [items[index][:1]]
+    return [*head, *([command] if command else []), *(token for i in items for token in i)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_lines())
+def test_hand_parser_agrees_with_argparse(argv):
+    # Where the hand parser accepts, argparse gives the same namespace;
+    # where argparse refuses, the hand parser has refused too.
+    hand = cli_module._parse_well_formed(argv)
+    assert hand is None or vars(hand) == argparse_vars(argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "doc.json"],
+        ["--format", "json", "ppt", "doc.json", "--bba", "m1"],
+        ["combine", "--bbas", "m1,m2,m3", "doc.json"],
+        ["dist", "--measure", "betp:focal", "doc.json", "--pair", "m1,m2"],
+        ["rank", "doc.json", "--reference", "m1"],
+        ["--format", "csv", "repro", "sweep"],
+    ],
+    ids=["validate", "json-ppt", "options-first", "measure-first", "default-measure", "repro"],
+)
+def test_well_formed_commands_take_the_hand_parser(argv):
+    hand = cli_module._parse_well_formed(argv)
+    assert hand is not None
+    assert vars(hand) == argparse_vars(argv)
 
 
 class TestJsonFormat:

@@ -19,7 +19,7 @@ from conftest import (
     random_bba,
 )
 from evidist.combination import combine_all, combine_dempster, conflict
-from evidist.core import FocalSet, _left_sum, build_bba, build_frame, mass_of, vacuous_bba
+from evidist.core import Bba, FocalSet, _left_sum, build_bba, build_frame, mass_of, vacuous_bba
 from evidist.document import parse_document, serialize_document
 from evidist.distance import (
     DistanceMeasure,
@@ -30,7 +30,7 @@ from evidist.distance import (
     red_reduces_to_jousselme,
 )
 from evidist.errors import FrameMismatchError, ValidationError
-from evidist.pignistic import BetPMode, betp_of_subset, dif_betp, ppt
+from evidist.pignistic import BetPMode, PignisticDistribution, betp_of_subset, dif_betp, ppt
 from evidist.ranking import rank_by_distance
 from evidist.repro import sweep_bbas
 
@@ -584,6 +584,20 @@ BAD_OPERAND_CALLS = {
         lambda: rank_by_distance(grade_categorical(1), {"x": grade_categorical(2)}, "red"),
         "DistanceMeasure",
         "str",
+    ),
+    "Bba-frame": (lambda: Bba(5, []), "Frame", "int"),
+    "Bba-entries": (lambda: Bba(FRAME, 5), "Iterable", "int"),
+    "to_bba-frame": (lambda: PignisticDistribution(5, (1.0,)).to_bba(), "Frame", "int"),
+    "to_bba-probabilities": (lambda: PignisticDistribution(FRAME, 5).to_bba(), "Iterable", "int"),
+    "to_bba-probability": (
+        lambda: PignisticDistribution(FRAME, (0.5, "x", 0.0, 0.0, 0.0)).to_bba(), "float", "str"
+    ),
+    "parse_document": (lambda: parse_document(5), "str", "int"),
+    "combine_all": (lambda: combine_all(5), "Iterable", "int"),
+    "rank_by_distance-candidates": (
+        lambda: rank_by_distance(grade_categorical(1), 5, DistanceMeasure("red")),
+        "Iterable",
+        "int",
     ),
 }
 

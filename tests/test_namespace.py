@@ -93,7 +93,7 @@ if argv:
 else:
     import evidist
 print(" ".join(sorted(name for name in sys.modules if name.startswith("evidist."))))
-print("csv" in sys.modules)
+print(" ".join(name for name in ("argparse", "csv") if name in sys.modules))
 """
 
 DOCUMENT_COMMANDS = ("evidist.cli", "evidist.core", "evidist.document", "evidist.errors")
@@ -116,13 +116,15 @@ def _python_s(*args: str) -> str:
     return result.stdout
 
 
-def _loaded(*argv: str) -> tuple[set[str], bool]:
-    modules, csv_loaded = _python_s("-c", LOADED_SCRIPT, *argv).splitlines()
-    return set(modules.split()), csv_loaded == "True"
+def _loaded(*argv: str) -> tuple[set[str], set[str]]:
+    """The evidist submodules, and which of argparse and csv, that a
+    process loads to run argv (to import evidist if argv is empty)."""
+    modules, others = _python_s("-c", LOADED_SCRIPT, *argv).splitlines()
+    return set(modules.split()), set(others.split())
 
 
 def test_bare_import_loads_no_submodule():
-    assert _loaded() == (set(), False)
+    assert _loaded() == (set(), set())
 
 
 def test_submodules_are_reachable_after_a_bare_import():
@@ -148,8 +150,13 @@ def test_submodules_are_reachable_after_a_bare_import():
     ids=["validate", "ppt", "combine", "dist", "rank"],
 )
 def test_command_loads_only_its_modules(argv, extra):
-    assert _loaded(*argv) == ({*DOCUMENT_COMMANDS, *extra}, True)
+    # A well-formed command is parsed without argparse.
+    assert _loaded(*argv) == ({*DOCUMENT_COMMANDS, *extra}, {"csv"})
 
 
 def test_json_output_does_not_load_csv():
-    assert _loaded("--format", "json", "validate", SENSORS) == (set(DOCUMENT_COMMANDS), False)
+    assert _loaded("--format", "json", "validate", SENSORS) == (set(DOCUMENT_COMMANDS), set())
+
+
+def test_help_loads_argparse():
+    assert _loaded("rank", "--help") == (set(DOCUMENT_COMMANDS), {"argparse"})
