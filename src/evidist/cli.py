@@ -4,7 +4,13 @@ Subcommands: validate, combine, ppt, dist, rank, repro. Every command
 emits CSV (default) or JSON via the global --format flag. Numbers are
 displayed with exactly 4 decimal places so repeated runs are
 byte-identical. Exit codes: 0 success, 1 usage error, 2 parse or
-validation error, 3 computation error.
+validation error, 3 computation error, and from ``main`` 141 when
+stdout's reader has gone away.
+
+``run_cli`` runs an invocation on one path: one ``try`` block parses
+the arguments, reads the document and runs the command, and its
+handlers, one per exit status, decide the status; each error handler
+writes one ``evidist: ...`` line to stderr.
 
 ``_GRAMMAR`` states the arguments. argparse, built from it, is imported
 only for help, usage errors and non-canonical spellings.
@@ -19,8 +25,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -71,11 +78,25 @@ def _build_parser():
     return parser
 
 
-def _parse_well_formed(argv: Sequence[str] | None) -> SimpleNamespace | None:
+def _argv_list(argv: Iterable[str] | None) -> list[str]:
+    """argv as a list of str, sys.argv[1:] for None; anything else is a
+    usage error."""
+    if argv is None:
+        return sys.argv[1:]
+    if isinstance(argv, (str, bytes)) or not isinstance(argv, Iterable):
+        raise _UsageError(f"argv must be a sequence of str, got {type(argv).__name__}")
+    argv = list(argv)
+    for position, item in enumerate(argv):
+        if not isinstance(item, str):
+            raise _UsageError(f"argv[{position}] must be a str, got {type(item).__name__}")
+    return argv
+
+
+def _parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
     """argparse's namespace for a canonical argv, else None: [--format F]
     command, then its positional and options once each, in any order,
     with values non-empty and not "-"-led."""
-    tokens = iter(sys.argv[1:] if argv is None else argv)
+    tokens = iter(argv)
     fmt, token = _FORMATS[0], next(tokens, None)
     if token == "--format":
         fmt, token = next(tokens, None), next(tokens, None)
@@ -100,10 +121,10 @@ def _load_document(path: str) -> EvidenceDocument:
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()
+    except FileNotFoundError:
+        raise DocumentError(f"cannot read {path}: file not found") from None
     except UnicodeDecodeError as exc:
-        raise DocumentError(
-            f"cannot read {path}: not UTF-8 text (byte {exc.start})"
-        ) from None
+        raise DocumentError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
     return parse_document(text)
 
 
@@ -238,48 +259,47 @@ def run_cli(
 ) -> int:
     """Run one CLI invocation and return its exit status.
 
-    The command runs, and its output is written, with the cyclic garbage
-    collector paused (``_CollectorPause``). A collection during a command
-    could only rescan the document the command holds, and by the time the
-    collector resumes, reference counting has freed it.
+    It runs, output included, with the cyclic garbage collector paused
+    (``_CollectorPause``): a collection could only rescan the document
+    the command holds, which reference counting frees before the
+    collector resumes.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    try:
-        args = _parse_well_formed(argv) or _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"evidist: {exc}", file=err)
-        return EXIT_USAGE
-    except _HelpRequested as exc:
-        out.write(str(exc))
-        return EXIT_OK
-    if args.command is None:
-        print("evidist: missing command (see evidist --help)", file=err)
-        return EXIT_USAGE
     with _CollectorPause():
-        return _run_command(args, out, err)
-
-
-def _run_command(args, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    try:
-        # Read before any argument check: a bad document is reported first.
-        document = _load_document(args.file) if hasattr(args, "file") else None
-        fields, rows = _GRAMMAR[args.command][0](document, args)
-    except _UsageError as exc:
-        print(f"evidist: {exc}", file=err)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"evidist: cannot read {exc.filename}: file not found", file=err)
-        return EXIT_INVALID
-    except (OSError, ValidationError) as exc:
-        print(f"evidist: {exc}", file=err)
-        return EXIT_INVALID
-    except EvidenceError as exc:
-        print(f"evidist: {exc}", file=err)
-        return EXIT_COMPUTE
-    _render(fields, rows, args.format, out)
-    return EXIT_OK
+        try:
+            argv = _argv_list(argv)
+            args = _parse_well_formed(argv) or _build_parser().parse_args(argv)
+            if args.command is None:
+                raise _UsageError("missing command (see evidist --help)")
+            # Read before any argument check: a bad document is reported first.
+            document = _load_document(args.file) if hasattr(args, "file") else None
+            fields, rows = _GRAMMAR[args.command][0](document, args)
+        except _HelpRequested as exc:
+            out.write(str(exc))
+            return EXIT_OK
+        except _UsageError as exc:
+            print(f"evidist: {exc}", file=err)
+            return EXIT_USAGE
+        except (OSError, ValidationError) as exc:
+            print(f"evidist: {exc}", file=err)
+            return EXIT_INVALID
+        except EvidenceError as exc:
+            print(f"evidist: {exc}", file=err)
+            return EXIT_COMPUTE
+        _render(fields, rows, args.format, out)
+        return EXIT_OK
 
 
 def main():
-    sys.exit(run_cli())
+    try:
+        status = run_cli()
+        # Flush here, so that a reader that has gone away fails inside the try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Stdout's reader closed it (evidist rank ... | head). Point stdout
+        # at devnull, so the flush at interpreter exit does not fail again,
+        # and exit with the status a shell reports for SIGPIPE (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)

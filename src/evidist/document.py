@@ -191,6 +191,8 @@ def _parse(text: str, renormalize: bool) -> EvidenceDocument:
         ) from exc
     except RecursionError:
         raise DocumentError("syntax error: the document nests too deeply") from None
+    except UnicodeDecodeError as exc:  # bytes that the detected UTF does not decode
+        raise DocumentError(f"not {exc.encoding.upper()} text (byte {exc.start})") from None
     except ValueError:  # an integer past the interpreter's digit limit
         raise DocumentError("syntax error: an integer has too many digits") from None
     _require_keys(raw, ("frame", "bbas"), "document")

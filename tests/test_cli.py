@@ -265,6 +265,24 @@ class TestUsage:
         assert out.startswith(usage)
         assert capsys.readouterr() == ("", "")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([5], "argv[0] must be a str, got int"),
+            (["validate", 5], "argv[1] must be a str, got int"),
+            (["ppt", "x", "--bba", 5], "argv[3] must be a str, got int"),
+            (["validate", b"x"], "argv[1] must be a str, got bytes"),
+            ("validate", "argv must be a sequence of str, got str"),
+            (b"validate", "argv must be a sequence of str, got bytes"),
+            (5, "argv must be a sequence of str, got int"),
+        ],
+        ids=["int-command", "int-file", "int-option-value", "bytes-file", "str", "bytes", "int"],
+    )
+    def test_argv_that_is_not_a_list_of_str(self, argv, message):
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(argv, stdout=out, stderr=err) == 1
+        assert (out.getvalue(), err.getvalue()) == ("", f"evidist: {message}\n")
+
 
 def argparse_vars(argv):
     """vars() of argparse's namespace for argv, or None for a usage error,
@@ -459,6 +477,14 @@ class TestCollectorPause:
 
 REPO = Path(__file__).resolve().parents[1]
 
+
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 NO_NUMPY_SCRIPT = """
 import io, sys
 sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
@@ -499,19 +525,42 @@ print("ok")
 def test_runs_without_numpy():
     # The package has no runtime dependencies: with numpy made unimportable,
     # every command and the reference matrix still work.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
-    )
     result = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_SCRIPT, str(REPO / "docs" / "examples")],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["repro", "sweep"],
+        ["--help"],
+        ["validate", str(REPO / "docs" / "examples" / "grades_pairs.json")],
+    ],
+    ids=["repro-sweep", "help", "validate"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # The read end is closed before the child starts, so its first write
+    # to stdout fails, as when a reader such as head exits early.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "evidist", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=src_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (141, b"")
 
 
 LEAN_IMPORT_SCRIPT = """
@@ -550,15 +599,11 @@ def test_validate_loads_no_dataclasses_and_no_repro():
     # inspect, ast, dis and tokenize, and only the repro command needs
     # repro. Under -S no site-packages .pth file preloads typing or
     # pathlib, so what loads them here is evidist.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
-    )
     result = subprocess.run(
         [sys.executable, "-S", "-c", LEAN_IMPORT_SCRIPT, str(REPO / "docs" / "examples")],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=60,
     )
     assert result.returncode == 0, result.stderr

@@ -131,6 +131,12 @@ def test_syntax_error_reports_position():
             "too many digits",
             id="5000-digit-integer",
         ),
+        pytest.param(b"\xff", r"^not UTF-8 text \(byte 0\)$", id="bytes-not-utf-8"),
+        pytest.param(
+            bytearray(b'{"frame": ["\x80"]}'),
+            r"^not UTF-8 text \(byte 12\)$",
+            id="bytearray-not-utf-8",
+        ),
     ],
 )
 def test_rejected_documents(text, fragment):
