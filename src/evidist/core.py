@@ -29,7 +29,6 @@ from .errors import FrameMismatchError, ValidationError
 MAX_FRAME_SIZE = 64
 MASS_SUM_TOLERANCE = 1e-9
 
-_TABLE_TYPES = frozenset((str, int))
 # Iterable, but over characters or byte values rather than members; and a
 # bool mass would count as 0 or 1. Neither is what the caller meant.
 _TEXT_TYPES = (str, bytes, bytearray)
@@ -164,26 +163,19 @@ class Frame(_Frozen):
 
     def _mask(self, members: Iterable[str | int]) -> int:
         """The non-empty bitmask of labels and/or 1-based positions."""
-        if type(members) is not list:
-            if isinstance(members, _TEXT_TYPES):
-                raise _text_error(members, "set", "labels or positions")
-            # Only iter() is guarded: the caller's own generator may raise TypeError.
-            try:
-                members = iter(members)
-            except TypeError:
-                raise ValidationError(
-                    f"a set must be an iterable of labels or positions, "
-                    f"got {type(members).__name__}"
-                ) from None
-        table = self._bits
+        if isinstance(members, _TEXT_TYPES):
+            raise _text_error(members, "set", "labels or positions")
+        # Only iter() is guarded: the caller's own generator may raise TypeError.
+        try:
+            members = iter(members)
+        except TypeError:
+            raise ValidationError(
+                f"a set must be an iterable of labels or positions, "
+                f"got {type(members).__name__}"
+            ) from None
         bits = 0
         for member in members:
-            # Only an exact str or int may use the table: True and 1.0 hash
-            # like 1, and index_of must reject them with its own message.
-            bit = table.get(member) if type(member) in _TABLE_TYPES else None
-            if bit is None:
-                bit = 1 << (self.index_of(member) - 1)
-            bits |= bit
+            bits |= 1 << (self.index_of(member) - 1)
         if not bits:
             raise ValidationError("a focal set must be non-empty")
         return bits
@@ -282,7 +274,7 @@ def _canonical_key(bits: int) -> int:
 
 
 def _to_mass(mass, frame: Frame, bits: int) -> float:
-    """A mass given as another number type, as a float; text is not parsed."""
+    """A number mass as a float; text is not parsed."""
     try:
         if not isinstance(mass, _NOT_MASS_TYPES):
             return float(mass)
@@ -326,12 +318,15 @@ class Bba(_Frozen):
                     "Bba entries must be (FocalSet, mass) pairs; build_bba "
                     "also takes mappings and sets of labels or positions"
                 )
-            if focal_set.frame is not frame and focal_set.frame != frame:
+            if focal_set.frame != frame:
                 raise FrameMismatchError(
                     f"focal set {focal_set!r} belongs to a different frame"
                 )
-            if type(mass) is not float:
-                mass = _to_mass(mass, frame, focal_set.bits)
+            mass = _to_mass(mass, frame, focal_set.bits)
+            if not math.isfinite(mass):
+                raise ValidationError(
+                    f"focal masses must be finite, got {mass!r} on {focal_set!r}"
+                )
             if not mass > 0.0:
                 raise ValidationError(
                     f"focal masses must be positive, got {mass!r} on {focal_set!r}"
@@ -491,7 +486,7 @@ def vacuous_bba(frame: Frame) -> Bba:
     """Total ignorance: all mass on the full frame."""
     if not isinstance(frame, Frame):
         raise _not_a(Frame, frame)
-    return Bba(frame, ((frame.full_set(), 1.0),))
+    return Bba._from_bits(frame, {(1 << frame.size) - 1: 1.0})
 
 
 def mass_of(bba: Bba, focal_set: FocalSet) -> float:

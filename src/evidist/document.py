@@ -23,8 +23,12 @@ import gc
 import json
 import math
 
-from .core import _TABLE_TYPES, Bba, Frame, _bit_positions, _Frozen, _not_a, build_bba, build_frame
+from .core import Bba, Frame, _bit_positions, _Frozen, _not_a, build_bba, build_frame
 from .errors import DocumentError, ValidationError
+
+# The set member types a frame's bit table holds. Decoded JSON values have
+# exact types, so True and 1.0, which hash like 1, fall outside.
+_TABLE_TYPES = frozenset((str, int))
 
 
 def _require_keys(mapping, expected: tuple[str, ...], context: str):
@@ -52,7 +56,10 @@ class EvidenceDocument(_Frozen):
         try:
             return self.bbas[name]
         except KeyError:
-            available = ", ".join(self.bbas) or "none"
+            names = list(self.bbas)
+            available = ", ".join(names[:10]) or "none"
+            if len(names) > 10:
+                available += f" and {len(names) - 10} more"
             raise DocumentError(
                 f"no BBA named {name!r} in document (available: {available})"
             ) from None
@@ -63,13 +70,11 @@ def _parse_entry(entry, context: str):
     members = entry["set"]
     if not isinstance(members, list) or not members:
         raise DocumentError(f"{context}: 'set' must be a non-empty list")
-    # Decoded JSON values have exact types, so bool (an int subclass) and
-    # float both fall outside the set.
-    if not _TABLE_TYPES.issuperset(map(type, members)):
-        member = next(m for m in members if type(m) not in _TABLE_TYPES)
-        raise DocumentError(
-            f"{context}: set members must be labels or 1-based positions, got {member!r}"
-        )
+    for member in members:
+        if type(member) not in _TABLE_TYPES:
+            raise DocumentError(
+                f"{context}: set members must be labels or 1-based positions, got {member!r}"
+            )
     mass = entry["mass"]
     if isinstance(mass, bool) or not isinstance(mass, (int, float)):
         raise DocumentError(f"{context}: 'mass' must be a number, got {mass!r}")
@@ -116,13 +121,15 @@ class _CollectorPause:
 def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     """Parse document text into a validated frame plus named BBAs.
 
-    Syntax errors report line and column; the non-standard literals NaN,
-    Infinity and -Infinity, repeated keys in one object, nesting deeper
-    than the interpreter's recursion limit and integers longer than its
-    digit limit are rejected. Semantic errors (unknown label, position out
-    of range, mass-sum violation) name the offending BBA. With
-    ``renormalize`` each BBA's masses are scaled to sum to one instead of
-    being required to.
+    ``bytes`` and ``bytearray`` are decoded as UTF-8, as the CLI reads a
+    file; a byte order mark is a syntax error. Syntax errors report line
+    and column; the non-standard literals NaN, Infinity and -Infinity,
+    repeated keys in one object, nesting deeper than the interpreter's
+    recursion limit and integers longer than its digit limit are
+    rejected. Semantic errors (unknown label, position out of range,
+    mass-sum violation) name the offending BBA. With ``renormalize``
+    each BBA's masses are scaled to sum to one instead of being required
+    to.
 
     A BBA whose entries are all regular (exactly ``set`` and ``mass``, a
     positive finite float mass, a non-empty set of labels and positions
@@ -139,8 +146,14 @@ def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     until it returns, and what it releases reference counting frees, so a
     collection could free nothing and would only rescan it.
     """
-    if not isinstance(text, (str, bytes, bytearray)):
-        raise _not_a(str, text)
+    if not isinstance(text, str):
+        if not isinstance(text, (bytes, bytearray)):
+            raise _not_a(str, text)
+        # json.loads would also detect and take UTF-16 and UTF-32.
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DocumentError(f"not UTF-8 text (byte {exc.start})") from None
     with _CollectorPause():
         return _parse(text, renormalize)
 
@@ -164,7 +177,6 @@ def _regular_masses(table: dict, entry_list: list) -> dict[int, float] | None:
             or not 0.0 < mass < math.inf
             or type(members) is not list
             or not members
-            # Exact types only: True and 1.0 hash like 1.
             or not _TABLE_TYPES.issuperset(map(type, members))
         ):
             return None
@@ -191,8 +203,6 @@ def _parse(text: str, renormalize: bool) -> EvidenceDocument:
         ) from exc
     except RecursionError:
         raise DocumentError("syntax error: the document nests too deeply") from None
-    except UnicodeDecodeError as exc:  # bytes that the detected UTF does not decode
-        raise DocumentError(f"not {exc.encoding.upper()} text (byte {exc.start})") from None
     except ValueError:  # an integer past the interpreter's digit limit
         raise DocumentError("syntax error: an integer has too many digits") from None
     _require_keys(raw, ("frame", "bbas"), "document")

@@ -17,6 +17,7 @@ from conftest import bba_pairs, make_frame, random_bba
 from evidist.combination import combine_dempster
 from evidist.core import (
     MASS_SUM_TOLERANCE,
+    MAX_FRAME_SIZE,
     Bba,
     FocalSet,
     Frame,
@@ -460,6 +461,15 @@ class TestMassTypes:
             assert tuple(bba._by_bits.items()) == ((1, 0.5), (2, 0.5))
             assert all(type(mass) is float for mass in bba._by_bits.values())
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_masses_named_alike(self, bad):
+        frame = build_frame(GRADES)
+        message = rf"^focal masses must be finite, got {bad!r} on \{{Poor\}}$"
+        with pytest.raises(ValidationError, match=message):
+            build_bba(frame, [(["Poor"], bad)])
+        with pytest.raises(ValidationError, match=message):
+            Bba(frame, [(frame.subset(["Poor"]), bad)])
+
     def test_int_masses(self):
         frame = build_frame(GRADES)
         full = frame.full_set()
@@ -491,6 +501,14 @@ class TestVacuous:
         frame = build_frame(["Only"])
         bba = vacuous_bba(frame)
         assert mass_of(bba, frame.subset([1])) == 1.0
+
+    def test_equals_the_public_constructor(self):
+        for size in range(1, MAX_FRAME_SIZE + 1):
+            frame = make_frame(size)
+            bba = vacuous_bba(frame)
+            public = Bba(frame, [(frame.full_set(), 1.0)])
+            assert bba == public
+            assert list(bba._by_bits.items()) == list(public._by_bits.items())
 
     def test_neutral_for_combination(self):
         rng = random.Random(7)

@@ -23,6 +23,8 @@ from evidist.errors import DocumentError
 
 DOCS_EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
+ONE_BBA_TEXT = '{"frame": ["A"], "bbas": {"m": [{"set": ["A"], "mass": 1.0}]}}'
+
 SINGLETONS_TEXT = json.dumps(
     {
         "frame": ["Poor", "Low", "Middle", "High", "Perfect"],
@@ -137,6 +139,25 @@ def test_syntax_error_reports_position():
             r"^not UTF-8 text \(byte 12\)$",
             id="bytearray-not-utf-8",
         ),
+        # json.loads alone would detect UTF-16, UTF-32 and a UTF-8 byte order
+        # mark, and pass encoded surrogates; the CLI reads files as UTF-8.
+        pytest.param(
+            ONE_BBA_TEXT.encode("utf-16"), r"^not UTF-8 text \(byte 0\)$", id="utf-16"
+        ),
+        pytest.param(
+            ONE_BBA_TEXT.encode("utf-32"), r"^not UTF-8 text \(byte 0\)$", id="utf-32"
+        ),
+        pytest.param(
+            ONE_BBA_TEXT.encode("utf-8-sig"),
+            r"^syntax error at line 1, column 1: Unexpected UTF-8 BOM",
+            id="utf-8-bom",
+        ),
+        pytest.param(b"\xff\xfe{}", r"^not UTF-8 text \(byte 0\)$", id="utf-16-bom-bytes"),
+        pytest.param(
+            b'{"frame": ["\xed\xa0\x80"], "bbas": {}}',
+            r"^not UTF-8 text \(byte 12\)$",
+            id="encoded-surrogate",
+        ),
     ],
 )
 def test_rejected_documents(text, fragment):
@@ -148,6 +169,16 @@ def test_unknown_bba_name_lists_available():
     document = parse_document(SINGLETONS_TEXT)
     with pytest.raises(DocumentError, match="m1, m2, m3"):
         document.bba("m9")
+
+
+def test_unknown_bba_name_lists_at_most_ten():
+    bbas = {f"b{i:02d}": [{"set": ["A"], "mass": 1.0}] for i in range(25)}
+    document = parse_document(json.dumps({"frame": ["A"], "bbas": bbas}))
+    first_ten = ", ".join(f"b{i:02d}" for i in range(10))
+    expected = f"no BBA named 'nope' in document (available: {first_ten} and 15 more)"
+    with pytest.raises(DocumentError) as excinfo:
+        document.bba("nope")
+    assert str(excinfo.value) == expected
 
 
 def test_round_trip_fixture():
