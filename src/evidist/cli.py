@@ -119,13 +119,11 @@ def _parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
 
 def _load_document(path: str) -> EvidenceDocument:
     try:
-        with open(path, encoding="utf-8") as file:
-            text = file.read()
+        file = open(path, "rb")
     except FileNotFoundError:
         raise DocumentError(f"cannot read {path}: file not found") from None
-    except UnicodeDecodeError as exc:
-        raise DocumentError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
-    return parse_document(text)
+    with file:  # no name keeps the bytes, so decoding frees them
+        return parse_document(file.read())
 
 
 def _split_names(raw: str) -> list[str]:

@@ -273,11 +273,16 @@ def _canonical_key(bits: int) -> int:
     return (bits.bit_count() << 64) - reversed_bits
 
 
-def _to_mass(mass, frame: Frame, bits: int) -> float:
-    """A number mass as a float; text is not parsed."""
+def _finite_mass(mass, frame: Frame, bits: int) -> float:
+    """A finite number mass as a float; text is not parsed."""
     try:
         if not isinstance(mass, _NOT_MASS_TYPES):
-            return float(mass)
+            mass = float(mass)
+            if math.isfinite(mass):
+                return mass
+            raise ValidationError(
+                f"focal masses must be finite, got {mass!r} on {FocalSet(frame, bits)!r}"
+            )
     except TypeError:
         pass
     except OverflowError:
@@ -322,11 +327,7 @@ class Bba(_Frozen):
                 raise FrameMismatchError(
                     f"focal set {focal_set!r} belongs to a different frame"
                 )
-            mass = _to_mass(mass, frame, focal_set.bits)
-            if not math.isfinite(mass):
-                raise ValidationError(
-                    f"focal masses must be finite, got {mass!r} on {focal_set!r}"
-                )
+            mass = _finite_mass(mass, frame, focal_set.bits)
             if not mass > 0.0:
                 raise ValidationError(
                     f"focal masses must be positive, got {mass!r} on {focal_set!r}"
@@ -453,12 +454,8 @@ def build_bba(
             bits = set_like.bits
         else:  # on ``frame`` by construction
             bits = frame._mask(set_like)
-        if type(mass) is not float:  # the document parser passes floats
-            mass = _to_mass(mass, frame, bits)
-        if not math.isfinite(mass):
-            raise ValidationError(
-                f"focal masses must be finite, got {mass!r} on {FocalSet(frame, bits)!r}"
-            )
+        if type(mass) is not float or not math.isfinite(mass):  # parsed masses skip this
+            mass = _finite_mass(mass, frame, bits)
         if mass < 0.0:
             raise ValidationError(
                 f"focal masses must be nonnegative, got {mass!r} "

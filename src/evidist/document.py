@@ -24,7 +24,7 @@ import json
 import math
 
 from .core import Bba, Frame, _bit_positions, _Frozen, _not_a, build_bba, build_frame
-from .errors import DocumentError, ValidationError
+from .errors import DocumentError, FrameMismatchError, ValidationError
 
 # The set member types a frame's bit table holds. Decoded JSON values have
 # exact types, so True and 1.0, which hash like 1, fall outside.
@@ -121,15 +121,15 @@ class _CollectorPause:
 def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     """Parse document text into a validated frame plus named BBAs.
 
-    ``bytes`` and ``bytearray`` are decoded as UTF-8, as the CLI reads a
-    file; a byte order mark is a syntax error. Syntax errors report line
-    and column; the non-standard literals NaN, Infinity and -Infinity,
-    repeated keys in one object, nesting deeper than the interpreter's
-    recursion limit and integers longer than its digit limit are
-    rejected. Semantic errors (unknown label, position out of range,
-    mass-sum violation) name the offending BBA. With ``renormalize``
-    each BBA's masses are scaled to sum to one instead of being required
-    to.
+    ``bytes`` and ``bytearray`` are decoded as UTF-8 only; the CLI passes
+    a file's bytes here, so both report the same errors. A byte order
+    mark is a syntax error. Syntax errors report line and column; the
+    non-standard literals NaN, Infinity and -Infinity, repeated keys in
+    one object, nesting deeper than the interpreter's recursion limit
+    and integers longer than its digit limit are rejected. Semantic
+    errors (unknown label, position out of range, mass-sum violation)
+    name the offending BBA. With ``renormalize`` each BBA's masses are
+    scaled to sum to one instead of being required to.
 
     A BBA whose entries are all regular (exactly ``set`` and ``mass``, a
     positive finite float mass, a non-empty set of labels and positions
@@ -244,10 +244,21 @@ def _parse(text: str, renormalize: bool) -> EvidenceDocument:
 
 
 def serialize_document(document: EvidenceDocument) -> str:
-    """Render a document back to text; parsing the result reproduces it."""
+    """Render a document back to text; parsing the result reproduces it.
+
+    Every name must be a str, and every BBA a Bba on the document's frame.
+    """
     if not isinstance(document, EvidenceDocument):
         raise _not_a(EvidenceDocument, document)
-    labels = document.frame.labels
+    frame = document.frame
+    for name, bba in document.bbas.items():
+        if not isinstance(name, str):
+            raise ValidationError(f"BBA names must be str, got {name!r}")
+        if not isinstance(bba, Bba):
+            raise ValidationError(f"bba {name!r}: {_not_a(Bba, bba)}")
+        if bba.frame is not frame and bba.frame != frame:
+            raise FrameMismatchError(f"bba {name!r} belongs to a different frame")
+    labels = frame.labels
     payload = {
         "frame": list(labels),
         "bbas": {

@@ -60,8 +60,8 @@ class PignisticDistribution(_Frozen):
     """Probability over a frame's grades, indexed by 1-based position.
 
     This is ``ppt``'s result. It is a distribution because the BBA it
-    came from is one, so it is not checked when built; ``to_bba`` checks
-    what it converts.
+    came from is one, so it is not checked when built; ``to_bba`` and
+    ``betp_of_subset`` check what they use.
     """
 
     _fields = ("frame", "probabilities")
@@ -74,7 +74,8 @@ class PignisticDistribution(_Frozen):
     def to_bba(self) -> Bba:
         """The BBA carrying this distribution on singleton focal sets.
 
-        There must be one probability per grade, and each must be finite.
+        There must be one probability per grade, and each must be a finite
+        number, not a bool; the masses are stored as floats.
         The positive probabilities become the masses. Their sum must be 1
         within MASS_SUM_TOLERANCE plus a margin for ``ppt``'s rounding, so
         ``ppt`` of a valid BBA always converts, and a hand-built
@@ -83,23 +84,7 @@ class PignisticDistribution(_Frozen):
         positive ones sum to one.
         """
         frame = self.frame
-        if not isinstance(frame, Frame):
-            raise _not_a(Frame, frame)
-        probabilities = tuple(_iterate(self.probabilities))
-        if len(probabilities) != frame.size:
-            raise ValidationError(
-                f"distribution has {len(probabilities)} probabilities "
-                f"for a frame of {frame.size} grades"
-            )
-        for label, p in zip(frame.labels, probabilities):
-            try:
-                finite = math.isfinite(p)
-            except TypeError:
-                raise _not_a(float, p) from None
-            if not finite:
-                raise ValidationError(
-                    f"probability of grade {label!r} must be finite, got {p!r}"
-                )
+        probabilities = _checked_probabilities(self)
         masses = {1 << i: p for i, p in enumerate(probabilities) if p > 0.0}
         bba = Bba._from_bits(frame, masses, tolerance=_PPT_SUM_TOLERANCE)
         for label, p in zip(frame.labels, probabilities):
@@ -108,6 +93,35 @@ class PignisticDistribution(_Frozen):
                     f"probability of grade {label!r} must be nonnegative, got {p!r}"
                 )
         return bba
+
+
+def _checked_probabilities(distribution: PignisticDistribution) -> tuple[float, ...]:
+    """A distribution's probabilities as floats, after checking its frame,
+    their count, and that each is a finite number; a hand-built one may
+    hold anything."""
+    frame = distribution.frame
+    if not isinstance(frame, Frame):
+        raise _not_a(Frame, frame)
+    probabilities = tuple(_iterate(distribution.probabilities))
+    if len(probabilities) != frame.size:
+        raise ValidationError(
+            f"distribution has {len(probabilities)} probabilities "
+            f"for a frame of {frame.size} grades"
+        )
+    for label, p in zip(frame.labels, probabilities):
+        if isinstance(p, bool):
+            raise _not_a(float, p)
+        try:
+            finite = math.isfinite(p)
+        except TypeError:
+            raise _not_a(float, p) from None
+        except OverflowError:  # an int past the float range; too long to repr
+            raise ValidationError(
+                f"probability of grade {label!r} is too large for a float"
+            ) from None
+        if not finite:
+            raise ValidationError(f"probability of grade {label!r} must be finite, got {p!r}")
+    return tuple(map(float, probabilities))
 
 
 def ppt(bba: Bba) -> PignisticDistribution:
@@ -140,9 +154,10 @@ def betp_of_subset(distribution: PignisticDistribution, subset: FocalSet) -> flo
         raise _not_a(PignisticDistribution, distribution)
     if not isinstance(subset, FocalSet):
         raise _not_a(FocalSet, subset)
+    probabilities = _checked_probabilities(distribution)
     if subset.frame != distribution.frame:
         raise FrameMismatchError("subset belongs to a different frame")
-    return _left_sum(distribution.probabilities[i - 1] for i in subset.members)
+    return _left_sum(probabilities[i - 1] for i in subset.members)
 
 
 def dif_betp(m1: Bba, m2: Bba, mode: BetPMode | str = BetPMode.ALL_SUBSETS) -> float:

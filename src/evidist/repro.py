@@ -89,10 +89,8 @@ def comparison_documents() -> dict[str, EvidenceDocument]:
 
 def comparison_rows() -> list[dict]:
     """One row per (case, pair, measure) cell, with reference and match flag."""
-    documents = comparison_documents()
     rows = []
-    for case in COMPARISON_CASES:
-        document = documents[case]
+    for case, document in comparison_documents().items():
         for measure in COMPARISON_MEASURES:
             evaluate = DistanceMeasure.parse(measure).evaluate
             for first, second in COMPARISON_PAIRS:

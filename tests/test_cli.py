@@ -18,6 +18,8 @@ import evidist
 from conftest import EDGE_SUM_DOCUMENT
 from evidist import cli as cli_module
 from evidist.cli import run_cli
+from evidist.document import parse_document
+from evidist.errors import DocumentError
 
 SINGLETONS = """\
 {
@@ -224,6 +226,17 @@ class TestValidate:
         code, out, err = cli("validate", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("evidist: ") and err.count("\n") == 1
+
+    def test_reports_what_parse_document_reports_on_the_same_bytes(self, tmp_path):
+        # CR-only line breaks: a text-mode read would turn each into "\n"
+        # and so move the reported line and column.
+        content = b'{\r  "frame": ["A"],\r  "bbas": {"m": [}\r}\r'
+        path = tmp_path / "cr-only.json"
+        path.write_bytes(content)
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(content)
+        assert "line 1," in str(excinfo.value)
+        assert cli("validate", str(path)) == (2, "", f"evidist: {excinfo.value}\n")
 
     def test_ambiguous_label_exit_code(self, tmp_path):
         path = tmp_path / "label.json"

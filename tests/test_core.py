@@ -676,6 +676,12 @@ class TestPackedBba:
         with pytest.raises(ValidationError, match=r"^focal masses must be numbers, got 'x' on \{Poor\}$"):
             Bba(frame, faults[::-1])
 
+    def test_public_constructor_rejects_a_zero_mass(self):
+        frame = build_frame(GRADES)
+        poor, low = frame.subset(["Poor"]), frame.subset(["Low"])
+        with pytest.raises(ValidationError, match=r"^focal masses must be positive, got 0.0 on \{Low\}$"):
+            Bba(frame, [(poor, 1.0), (low, 0.0)])
+
     def test_public_constructor_rejects_a_duplicate_focal_set(self):
         frame = build_frame(GRADES)
         low = frame.subset(["Low"])

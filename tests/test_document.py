@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -12,14 +13,14 @@ from hypothesis import strategies as st
 from conftest import bbas_on, make_frame
 from evidist.cli import run_cli
 from evidist import document as document_module
-from evidist.core import build_bba, build_frame, mass_of
+from evidist.core import build_bba, build_frame, mass_of, vacuous_bba
 from evidist.document import (
     EvidenceDocument,
     _regular_masses,
     parse_document,
     serialize_document,
 )
-from evidist.errors import DocumentError
+from evidist.errors import DocumentError, FrameMismatchError, ValidationError
 
 DOCS_EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
@@ -184,6 +185,30 @@ def test_unknown_bba_name_lists_at_most_ten():
 def test_round_trip_fixture():
     document = parse_document(SINGLETONS_TEXT)
     assert parse_document(serialize_document(document)) == document
+
+
+_FIVE = build_frame(["A", "B", "C", "D", "E"])
+_THREE = build_frame(["x", "y", "z"])
+
+
+@pytest.mark.parametrize(
+    "frame,name,bba,error,message",
+    [
+        (_FIVE, "m", build_bba(_THREE, [(["z"], 1.0)]), FrameMismatchError,
+         "bba 'm' belongs to a different frame"),
+        (_THREE, "m", build_bba(_FIVE, [(["E"], 1.0)]), FrameMismatchError,
+         "bba 'm' belongs to a different frame"),
+        (_FIVE, "m", 5, ValidationError, "bba 'm': expected a Bba, got int"),
+        (_FIVE, 1, vacuous_bba(_FIVE), ValidationError, "BBA names must be str, got 1"),
+        (_FIVE, ("m",), vacuous_bba(_FIVE), ValidationError,
+         "BBA names must be str, got ('m',)"),
+    ],
+    ids=["smaller-frame", "larger-frame", "not-a-bba", "int-name", "tuple-name"],
+)
+def test_serialize_checks_names_and_bbas(frame, name, bba, error, message):
+    document = EvidenceDocument(frame, {name: bba})
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        serialize_document(document)
 
 
 @given(size=st.integers(1, 8), data=st.data())

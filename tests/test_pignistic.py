@@ -82,13 +82,26 @@ class TestPpt:
             ((1.0, float("nan")), "probability of grade 'B' must be finite, got nan"),
             ((float("inf"), 0.0), "probability of grade 'A' must be finite, got inf"),
             ((1.0, -0.5), "probability of grade 'B' must be nonnegative, got -0.5"),
+            ((True, False), "expected a float, got bool"),
+            ((10**400, 0), "probability of grade 'A' is too large for a float"),
         ],
-        ids=["too-long", "too-short", "nan", "infinite", "negative"],
+        ids=["too-long", "too-short", "nan", "infinite", "negative", "bool", "huge-int"],
     )
     def test_to_bba_rejects_malformed_probabilities(self, probabilities, message):
         distribution = PignisticDistribution(build_frame(["A", "B"]), probabilities)
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             distribution.to_bba()
+
+    def test_to_bba_stores_float_masses(self):
+        bba = PignisticDistribution(make_frame(5), (1, 0, 0, 0, 0)).to_bba()
+        assert bba._by_bits == {1: 1.0}
+        assert type(bba._by_bits[1]) is float
+
+    def test_to_bba_keeps_no_zero_mass(self):
+        frame = make_frame(4)
+        distribution = ppt(build_bba(frame, [({1, 2}, 0.5), ({4}, 0.5)]))
+        assert distribution.probabilities == (0.25, 0.25, 0.0, 0.5)
+        assert distribution.to_bba()._by_bits == {1: 0.25, 2: 0.25, 8: 0.5}
 
 
 class TestBetpOfSubset:
@@ -121,6 +134,27 @@ class TestBetpOfSubset:
         p = ppt(vacuous_bba(make_frame(3)))
         with pytest.raises(FrameMismatchError):
             betp_of_subset(p, make_frame(4).subset([1]))
+
+    @pytest.mark.parametrize(
+        "probabilities,message",
+        [
+            ((1.0,), "distribution has 1 probabilities for a frame of 5 grades"),
+            (("x", 1, 0, 0, 0), "expected a float, got str"),
+            ((float("nan"),) * 5, "probability of grade 'g1' must be finite, got nan"),
+            ((True, False, False, False, False), "expected a float, got bool"),
+        ],
+        ids=["too-short", "text", "nan", "bool"],
+    )
+    def test_checks_a_hand_built_distribution(self, probabilities, message):
+        frame = make_frame(5)
+        distribution = PignisticDistribution(frame, probabilities)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            betp_of_subset(distribution, frame.subset([1, 3]))
+
+    def test_int_probabilities_give_a_float(self):
+        frame = make_frame(5)
+        value = betp_of_subset(PignisticDistribution(frame, (1, 0, 0, 0, 0)), frame.subset([1]))
+        assert (type(value), value) == (float, 1.0)
 
     @given(size=st.integers(2, 10), data=st.data())
     def test_additivity_on_disjoint_sets(self, size, data):
