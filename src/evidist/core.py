@@ -439,7 +439,7 @@ def build_bba(
         entries = entries.items()
     # A FocalSet is built only to name a set in an error message.
     merged: dict[int, float] = {}
-    for entry in entries:
+    for entry in _iterate(entries):
         try:
             set_like, mass = entry
         except (TypeError, ValueError):

@@ -43,11 +43,24 @@ def _require_keys(mapping, expected: tuple[str, ...], context: str):
 
 
 class EvidenceDocument(_Frozen):
-    """A parsed document: the frame and its named BBAs, in document order."""
+    """A parsed document: the frame and its named BBAs, in document order.
+
+    Built by hand, it is checked: a dict of str names to Bba on ``frame``."""
 
     _fields = ("frame", "bbas")
 
     def __init__(self, frame: Frame, bbas: dict[str, Bba]):
+        if not isinstance(frame, Frame):
+            raise _not_a(Frame, frame)
+        if not isinstance(bbas, dict):
+            raise _not_a(dict, bbas)
+        for name, bba in bbas.items():
+            if not isinstance(name, str):
+                raise ValidationError(f"BBA names must be str, got {name!r}")
+            if not isinstance(bba, Bba):
+                raise ValidationError(f"bba {name!r}: {_not_a(Bba, bba)}")
+            if bba.frame is not frame and bba.frame != frame:
+                raise FrameMismatchError(f"bba {name!r} belongs to a different frame")
         d = self.__dict__
         d["frame"] = frame
         d["bbas"] = bbas
@@ -240,25 +253,19 @@ def _parse(text: str, renormalize: bool) -> EvidenceDocument:
                 bbas[name] = Bba._from_bits(frame, masses)
         except ValidationError as exc:
             raise DocumentError(f"bba {name!r}: {exc}") from exc
-    return EvidenceDocument(frame, bbas)
+    # Valid by construction, so the constructor's checks are skipped.
+    document = object.__new__(EvidenceDocument)
+    d = document.__dict__
+    d["frame"] = frame
+    d["bbas"] = bbas
+    return document
 
 
 def serialize_document(document: EvidenceDocument) -> str:
-    """Render a document back to text; parsing the result reproduces it.
-
-    Every name must be a str, and every BBA a Bba on the document's frame.
-    """
+    """Render a document back to text; parsing the result reproduces it."""
     if not isinstance(document, EvidenceDocument):
         raise _not_a(EvidenceDocument, document)
-    frame = document.frame
-    for name, bba in document.bbas.items():
-        if not isinstance(name, str):
-            raise ValidationError(f"BBA names must be str, got {name!r}")
-        if not isinstance(bba, Bba):
-            raise ValidationError(f"bba {name!r}: {_not_a(Bba, bba)}")
-        if bba.frame is not frame and bba.frame != frame:
-            raise FrameMismatchError(f"bba {name!r} belongs to a different frame")
-    labels = frame.labels
+    labels = document.frame.labels
     payload = {
         "frame": list(labels),
         "bbas": {

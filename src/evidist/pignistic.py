@@ -11,7 +11,7 @@ distribution; ``dif_betp`` measures how far apart two BBAs can bet.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from enum import Enum
 
 from .core import (
@@ -59,69 +59,53 @@ _PPT_SUM_TOLERANCE = MASS_SUM_TOLERANCE + 1e-12
 class PignisticDistribution(_Frozen):
     """Probability over a frame's grades, indexed by 1-based position.
 
-    This is ``ppt``'s result. It is a distribution because the BBA it
-    came from is one, so it is not checked when built; ``to_bba`` and
-    ``betp_of_subset`` check what they use.
+    This is ``ppt``'s result. A hand-built one is checked when built:
+    one probability per grade, each a finite, nonnegative number and not
+    a bool. The probabilities are stored as a tuple of floats.
     """
 
     _fields = ("frame", "probabilities")
 
-    def __init__(self, frame: Frame, probabilities: tuple[float, ...]):
+    def __init__(self, frame: Frame, probabilities: Iterable[float]):
+        if not isinstance(frame, Frame):
+            raise _not_a(Frame, frame)
+        probabilities = tuple(_iterate(probabilities))
+        if len(probabilities) != frame.size:
+            raise ValidationError(
+                f"distribution has {len(probabilities)} probabilities "
+                f"for a frame of {frame.size} grades"
+            )
+        for label, p in zip(frame.labels, probabilities):
+            if isinstance(p, bool):
+                raise _not_a(float, p)
+            try:
+                finite = math.isfinite(p)
+            except TypeError:
+                raise _not_a(float, p) from None
+            except OverflowError:  # an int past the float range; too long to repr
+                raise ValidationError(
+                    f"probability of grade {label!r} is too large for a float"
+                ) from None
+            if not finite:
+                raise ValidationError(f"probability of grade {label!r} must be finite, got {p!r}")
+            if float(p) < 0.0:
+                raise ValidationError(
+                    f"probability of grade {label!r} must be nonnegative, got {float(p)!r}"
+                )
         d = self.__dict__
         d["frame"] = frame
-        d["probabilities"] = probabilities
+        d["probabilities"] = tuple(map(float, probabilities))
 
     def to_bba(self) -> Bba:
         """The BBA carrying this distribution on singleton focal sets.
 
-        There must be one probability per grade, and each must be a finite
-        number, not a bool; the masses are stored as floats.
         The positive probabilities become the masses. Their sum must be 1
         within MASS_SUM_TOLERANCE plus a margin for ``ppt``'s rounding, so
         ``ppt`` of a valid BBA always converts, and a hand-built
-        distribution that does not sum to one is rejected. The rest must
-        be zeros: a negative probability is rejected even where the
-        positive ones sum to one.
+        distribution that does not sum to one is rejected.
         """
-        frame = self.frame
-        probabilities = _checked_probabilities(self)
-        masses = {1 << i: p for i, p in enumerate(probabilities) if p > 0.0}
-        bba = Bba._from_bits(frame, masses, tolerance=_PPT_SUM_TOLERANCE)
-        for label, p in zip(frame.labels, probabilities):
-            if p < 0.0:
-                raise ValidationError(
-                    f"probability of grade {label!r} must be nonnegative, got {p!r}"
-                )
-        return bba
-
-
-def _checked_probabilities(distribution: PignisticDistribution) -> tuple[float, ...]:
-    """A distribution's probabilities as floats, after checking its frame,
-    their count, and that each is a finite number; a hand-built one may
-    hold anything."""
-    frame = distribution.frame
-    if not isinstance(frame, Frame):
-        raise _not_a(Frame, frame)
-    probabilities = tuple(_iterate(distribution.probabilities))
-    if len(probabilities) != frame.size:
-        raise ValidationError(
-            f"distribution has {len(probabilities)} probabilities "
-            f"for a frame of {frame.size} grades"
-        )
-    for label, p in zip(frame.labels, probabilities):
-        if isinstance(p, bool):
-            raise _not_a(float, p)
-        try:
-            finite = math.isfinite(p)
-        except TypeError:
-            raise _not_a(float, p) from None
-        except OverflowError:  # an int past the float range; too long to repr
-            raise ValidationError(
-                f"probability of grade {label!r} is too large for a float"
-            ) from None
-        if not finite:
-            raise ValidationError(f"probability of grade {label!r} must be finite, got {p!r}")
-    return tuple(map(float, probabilities))
+        masses = {1 << i: p for i, p in enumerate(self.probabilities) if p > 0.0}
+        return Bba._from_bits(self.frame, masses, tolerance=_PPT_SUM_TOLERANCE)
 
 
 def ppt(bba: Bba) -> PignisticDistribution:
@@ -133,7 +117,12 @@ def ppt(bba: Bba) -> PignisticDistribution:
     """
     if not isinstance(bba, Bba):
         raise _not_a(Bba, bba)
-    return PignisticDistribution(bba.frame, tuple(_probabilities(bba)))
+    # Valid by construction, so the constructor's checks are skipped.
+    distribution = object.__new__(PignisticDistribution)
+    d = distribution.__dict__
+    d["frame"] = bba.frame
+    d["probabilities"] = tuple(_probabilities(bba))
+    return distribution
 
 
 def _probabilities(bba: Bba) -> list[float]:
@@ -154,9 +143,9 @@ def betp_of_subset(distribution: PignisticDistribution, subset: FocalSet) -> flo
         raise _not_a(PignisticDistribution, distribution)
     if not isinstance(subset, FocalSet):
         raise _not_a(FocalSet, subset)
-    probabilities = _checked_probabilities(distribution)
     if subset.frame != distribution.frame:
         raise FrameMismatchError("subset belongs to a different frame")
+    probabilities = distribution.probabilities
     return _left_sum(probabilities[i - 1] for i in subset.members)
 
 

@@ -68,7 +68,7 @@ def rank_by_distance(
         if bba.frame is not frame and bba.frame != frame:
             raise FrameMismatchError(f"candidate {name!r} is defined on a different frame")
     scored = [(score(bba), index, name) for index, (name, bba) in enumerate(items)]
-    scored.sort(key=lambda t: (t[0], t[1]))
+    scored.sort()  # each index is unique, so names are never compared
 
     # Cluster near-equal distances, restore input order inside each cluster.
     clusters: list[list[tuple[float, int, str]]] = []

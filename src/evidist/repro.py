@@ -18,6 +18,7 @@ from __future__ import annotations
 from .core import Bba, build_bba, build_frame
 from .distance import DistanceMeasure, jousselme_distance, red_distance
 from .document import EvidenceDocument
+from .errors import ValidationError
 from .pignistic import BetPMode, dif_betp
 
 GRADES = ("Poor", "Low", "Middle", "High", "Perfect")
@@ -115,8 +116,8 @@ def sweep_bbas(case: int) -> tuple[Bba, Bba]:
     case 20 that set is the whole frame and the two entries merge. The
     second source is certain of {1..5}.
     """
-    if case not in SWEEP_CASES:
-        raise ValueError(f"case must be in 1..{SWEEP_FRAME_SIZE}, got {case}")
+    if isinstance(case, bool) or not isinstance(case, int) or case not in SWEEP_CASES:
+        raise ValidationError(f"case must be in 1..{SWEEP_FRAME_SIZE}, got {case!r}")
     frame = build_frame(str(i) for i in range(1, SWEEP_FRAME_SIZE + 1))
     growing = set(range(1, case + 1))
     whole = set(range(1, SWEEP_FRAME_SIZE + 1))

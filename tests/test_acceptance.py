@@ -34,7 +34,7 @@ from conftest import (
 from evidist.combination import combine_dempster, conflict
 from evidist.core import build_bba, build_frame, mass_of, vacuous_bba
 from evidist.distance import DistanceMeasure, red_distance, red_reduces_to_jousselme
-from evidist.errors import TotalConflictError
+from evidist.errors import TotalConflictError, ValidationError
 from evidist.pignistic import BetPMode, dif_betp, ppt
 from evidist.repro import SWEEP_CASES, comparison_rows, sweep_bbas, sweep_rows
 
@@ -187,7 +187,7 @@ def test_criterion_05_sweep_benchmark():
                 focal: float(mass) for focal, mass in spec.items()
             }, f"sweep case {case}: program and oracle inputs differ"
     for outside in (0, len(SWEEP_CASES) + 1):
-        with pytest.raises(ValueError, match=f"^case must be in 1..20, got {outside}$"):
+        with pytest.raises(ValidationError, match=f"^case must be in 1..20, got {outside}$"):
             sweep_bbas(outside)
 
     oracle = {case: sweep_oracle(case) for case in SWEEP_CASES}
@@ -232,6 +232,13 @@ def test_criterion_05_sweep_benchmark():
     assert elapsed < 1.0, f"sweep took {elapsed:.2f} s"
     assert not failures, "sweep cells beyond tolerance:\n" + "\n".join(failures)
     _report(5, "sweep-benchmark")
+
+
+@pytest.mark.parametrize("case", [True, 1.0], ids=["bool", "float"])
+def test_sweep_case_must_be_an_int(case):
+    # True == 1 == 1.0, so a membership test alone would take them as case 1.
+    with pytest.raises(ValidationError, match=rf"^case must be in 1..20, got {case!r}$"):
+        sweep_bbas(case)
 
 
 def test_criterion_06_singleton_closed_form():

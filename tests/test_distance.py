@@ -20,7 +20,7 @@ from conftest import (
 )
 from evidist.combination import combine_all, combine_dempster, conflict
 from evidist.core import Bba, FocalSet, _left_sum, build_bba, build_frame, mass_of, vacuous_bba
-from evidist.document import parse_document, serialize_document
+from evidist.document import EvidenceDocument, parse_document, serialize_document
 from evidist.distance import (
     DistanceMeasure,
     correlation_matrix,
@@ -577,8 +577,11 @@ BAD_OPERAND_CALLS = {
     "FocalSet-float-bits": (lambda: FocalSet(FRAME, 1.5), "int", "float"),
     "FocalSet-frame": (lambda: FocalSet(5, 1), "Frame", "int"),
     "build_bba-frame": (lambda: build_bba(5, [([1], 1.0)]), "Frame", "int"),
+    "build_bba-entries": (lambda: build_bba(FRAME, 5), "Iterable", "int"),
     "vacuous_bba-frame": (lambda: vacuous_bba(5), "Frame", "int"),
     "serialize_document": (lambda: serialize_document(5), "EvidenceDocument", "int"),
+    "EvidenceDocument-frame": (lambda: EvidenceDocument("AB", {}), "Frame", "str"),
+    "EvidenceDocument-bbas": (lambda: EvidenceDocument(FRAME, []), "dict", "list"),
     "DistanceMeasure.parse": (lambda: DistanceMeasure.parse(None), "str", "NoneType"),
     "rank_by_distance-measure": (
         lambda: rank_by_distance(grade_categorical(1), {"x": grade_categorical(2)}, "red"),

@@ -206,9 +206,9 @@ _THREE = build_frame(["x", "y", "z"])
     ids=["smaller-frame", "larger-frame", "not-a-bba", "int-name", "tuple-name"],
 )
 def test_serialize_checks_names_and_bbas(frame, name, bba, error, message):
-    document = EvidenceDocument(frame, {name: bba})
+    # The constructor rejects them, so no such document reaches serialize_document.
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        serialize_document(document)
+        EvidenceDocument(frame, {name: bba})
 
 
 @given(size=st.integers(1, 8), data=st.data())

@@ -67,7 +67,7 @@ class TestPpt:
         singleton_bba = ppt(bba).to_bba()
         assert ppt(singleton_bba).probabilities == ppt(bba).probabilities
 
-    @pytest.mark.parametrize("probabilities", [(0.5, 0.2), (1.5, -0.5)])
+    @pytest.mark.parametrize("probabilities", [(0.5, 0.2), (1.5, 0.0)])
     def test_to_bba_rejects_what_is_not_a_distribution(self, probabilities):
         distribution = PignisticDistribution(build_frame(["A", "B"]), probabilities)
         with pytest.raises(ValidationError, match="masses sum to"):
@@ -88,9 +88,17 @@ class TestPpt:
         ids=["too-long", "too-short", "nan", "infinite", "negative", "bool", "huge-int"],
     )
     def test_to_bba_rejects_malformed_probabilities(self, probabilities, message):
-        distribution = PignisticDistribution(build_frame(["A", "B"]), probabilities)
+        # The constructor rejects them, so no such distribution reaches to_bba.
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            distribution.to_bba()
+            PignisticDistribution(build_frame(["A", "B"]), probabilities)
+
+    def test_stores_float_probabilities(self):
+        frame = make_frame(5)
+        distribution = PignisticDistribution(frame, [1, 0, 0, 0, 0])
+        assert distribution.probabilities == (1.0, 0.0, 0.0, 0.0, 0.0)
+        assert type(distribution.probabilities) is tuple
+        assert all(type(p) is float for p in distribution.probabilities)
+        assert distribution == ppt(build_bba(frame, [([1], 1.0)]))
 
     def test_to_bba_stores_float_masses(self):
         bba = PignisticDistribution(make_frame(5), (1, 0, 0, 0, 0)).to_bba()
@@ -146,10 +154,9 @@ class TestBetpOfSubset:
         ids=["too-short", "text", "nan", "bool"],
     )
     def test_checks_a_hand_built_distribution(self, probabilities, message):
-        frame = make_frame(5)
-        distribution = PignisticDistribution(frame, probabilities)
+        # The constructor rejects them, so no such distribution reaches betp_of_subset.
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            betp_of_subset(distribution, frame.subset([1, 3]))
+            PignisticDistribution(make_frame(5), probabilities)
 
     def test_int_probabilities_give_a_float(self):
         frame = make_frame(5)

@@ -1,13 +1,16 @@
 """The value types behave as frozen dataclasses did: repr, equality,
 hashing, immutability, copy and pickle, and construction by position or
-keyword."""
+keyword; and each one that callers build checks its fields when built."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from dataclasses import FrozenInstanceError
 
 import pytest
 
+import evidist
 from evidist import (
     Bba,
     BetPMode,
@@ -18,6 +21,7 @@ from evidist import (
     PignisticDistribution,
     RankedCandidate,
     RankingResult,
+    ValidationError,
     build_bba,
     parse_document,
     ppt,
@@ -192,3 +196,31 @@ def test_positional_patterns_match_the_fields():
             assert (labels, bits) == (("A", "B", "C"), 0b110)
         case _:
             pytest.fail("no match")
+
+
+def _value_types(cls):
+    for subclass in cls.__subclasses__():
+        yield subclass
+        yield from _value_types(subclass)
+
+
+for _module in pkgutil.iter_modules(evidist.__path__):
+    if _module.name != "__main__":
+        importlib.import_module(f"evidist.{_module.name}")
+# Result records: only rank_by_distance builds them, from values it checked.
+RESULT_RECORDS = {"RankedCandidate", "RankingResult"}
+CHECKED_TYPES = [
+    cls for cls in _value_types(evidist.core._Frozen) if cls.__name__ not in RESULT_RECORDS
+]
+
+
+def test_the_guard_sees_every_value_type():
+    names = {cls.__name__ for cls in CHECKED_TYPES} | RESULT_RECORDS
+    assert names >= {cls.__name__ for cls in CASES}
+
+
+@pytest.mark.parametrize("cls", CHECKED_TYPES, ids=lambda cls: cls.__name__)
+def test_construction_checks_the_fields(cls):
+    # Valid by construction holds only if every public constructor checks.
+    with pytest.raises(ValidationError):
+        cls(5, *[None] * (len(cls._fields) - 1))
