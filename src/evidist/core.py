@@ -79,6 +79,16 @@ class _Frozen:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({body})"
 
+    @classmethod
+    def _trusted(cls, frame, value):
+        """An instance of a frame and one more field, both valid by construction."""
+        instance = object.__new__(cls)
+        # Item by item: __dict__.update() took about 90 bytes more per BBA.
+        d = instance.__dict__
+        d["frame"] = frame
+        d[cls._fields[1]] = value
+        return instance
+
     def __setattr__(self, name, value):
         raise _frozen_error(f"cannot assign to field {name!r}")
 
@@ -361,12 +371,7 @@ class Bba(_Frozen):
             total += mass
         if abs(total - 1.0) > tolerance:
             raise ValidationError(f"masses sum to {total!r}, expected 1 within {tolerance}")
-        bba = object.__new__(cls)
-        # Item by item: __dict__.update() took about 90 bytes more per BBA.
-        d = bba.__dict__
-        d["frame"] = frame
-        d["_by_bits"] = by_bits
-        return bba
+        return cls._trusted(frame, by_bits)
 
     def __hash__(self):
         return hash((self.frame, tuple(self._by_bits.items())))

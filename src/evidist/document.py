@@ -43,9 +43,7 @@ def _require_keys(mapping, expected: tuple[str, ...], context: str):
 
 
 class EvidenceDocument(_Frozen):
-    """A parsed document: the frame and its named BBAs, in document order.
-
-    Built by hand, it is checked: a dict of str names to Bba on ``frame``."""
+    """A parsed document: the frame and its named BBAs, in document order."""
 
     _fields = ("frame", "bbas")
 
@@ -54,13 +52,7 @@ class EvidenceDocument(_Frozen):
             raise _not_a(Frame, frame)
         if not isinstance(bbas, dict):
             raise _not_a(dict, bbas)
-        for name, bba in bbas.items():
-            if not isinstance(name, str):
-                raise ValidationError(f"BBA names must be str, got {name!r}")
-            if not isinstance(bba, Bba):
-                raise ValidationError(f"bba {name!r}: {_not_a(Bba, bba)}")
-            if bba.frame is not frame and bba.frame != frame:
-                raise FrameMismatchError(f"bba {name!r} belongs to a different frame")
+        _check_bbas(frame, bbas)
         d = self.__dict__
         d["frame"] = frame
         d["bbas"] = bbas
@@ -76,6 +68,16 @@ class EvidenceDocument(_Frozen):
             raise DocumentError(
                 f"no BBA named {name!r} in document (available: {available})"
             ) from None
+
+
+def _check_bbas(frame: Frame, bbas: dict) -> None:
+    for name, bba in bbas.items():
+        if not isinstance(name, str):
+            raise ValidationError(f"BBA names must be str, got {name!r}")
+        if not isinstance(bba, Bba):
+            raise ValidationError(f"bba {name!r}: {_not_a(Bba, bba)}")
+        if bba.frame is not frame and bba.frame != frame:
+            raise FrameMismatchError(f"bba {name!r} belongs to a different frame")
 
 
 def _parse_entry(entry, context: str):
@@ -253,18 +255,18 @@ def _parse(text: str, renormalize: bool) -> EvidenceDocument:
                 bbas[name] = Bba._from_bits(frame, masses)
         except ValidationError as exc:
             raise DocumentError(f"bba {name!r}: {exc}") from exc
-    # Valid by construction, so the constructor's checks are skipped.
-    document = object.__new__(EvidenceDocument)
-    d = document.__dict__
-    d["frame"] = frame
-    d["bbas"] = bbas
-    return document
+    return EvidenceDocument._trusted(frame, bbas)
 
 
 def serialize_document(document: EvidenceDocument) -> str:
-    """Render a document back to text; parsing the result reproduces it."""
+    """Render a document back to text; parsing the result reproduces it.
+
+    Every name must be a str, and every BBA a Bba on the document's frame;
+    ``bbas`` is a plain dict, so they are checked again here.
+    """
     if not isinstance(document, EvidenceDocument):
         raise _not_a(EvidenceDocument, document)
+    _check_bbas(document.frame, document.bbas)
     labels = document.frame.labels
     payload = {
         "frame": list(labels),

@@ -69,13 +69,13 @@ class PignisticDistribution(_Frozen):
     def __init__(self, frame: Frame, probabilities: Iterable[float]):
         if not isinstance(frame, Frame):
             raise _not_a(Frame, frame)
-        probabilities = tuple(_iterate(probabilities))
-        if len(probabilities) != frame.size:
+        given = tuple(_iterate(probabilities))
+        if len(given) != frame.size:
             raise ValidationError(
-                f"distribution has {len(probabilities)} probabilities "
-                f"for a frame of {frame.size} grades"
+                f"distribution has {len(given)} probabilities for a frame of {frame.size} grades"
             )
-        for label, p in zip(frame.labels, probabilities):
+        probabilities = []
+        for label, p in zip(frame.labels, given):
             if isinstance(p, bool):
                 raise _not_a(float, p)
             try:
@@ -88,13 +88,15 @@ class PignisticDistribution(_Frozen):
                 ) from None
             if not finite:
                 raise ValidationError(f"probability of grade {label!r} must be finite, got {p!r}")
-            if float(p) < 0.0:
+            p = float(p)
+            if p < 0.0:
                 raise ValidationError(
-                    f"probability of grade {label!r} must be nonnegative, got {float(p)!r}"
+                    f"probability of grade {label!r} must be nonnegative, got {p!r}"
                 )
+            probabilities.append(p)
         d = self.__dict__
         d["frame"] = frame
-        d["probabilities"] = tuple(map(float, probabilities))
+        d["probabilities"] = tuple(probabilities)
 
     def to_bba(self) -> Bba:
         """The BBA carrying this distribution on singleton focal sets.
@@ -117,12 +119,7 @@ def ppt(bba: Bba) -> PignisticDistribution:
     """
     if not isinstance(bba, Bba):
         raise _not_a(Bba, bba)
-    # Valid by construction, so the constructor's checks are skipped.
-    distribution = object.__new__(PignisticDistribution)
-    d = distribution.__dict__
-    d["frame"] = bba.frame
-    d["probabilities"] = tuple(_probabilities(bba))
-    return distribution
+    return PignisticDistribution._trusted(bba.frame, tuple(_probabilities(bba)))
 
 
 def _probabilities(bba: Bba) -> list[float]:
@@ -145,8 +142,7 @@ def betp_of_subset(distribution: PignisticDistribution, subset: FocalSet) -> flo
         raise _not_a(FocalSet, subset)
     if subset.frame != distribution.frame:
         raise FrameMismatchError("subset belongs to a different frame")
-    probabilities = distribution.probabilities
-    return _left_sum(probabilities[i - 1] for i in subset.members)
+    return _left_sum(distribution.probabilities[i - 1] for i in subset.members)
 
 
 def dif_betp(m1: Bba, m2: Bba, mode: BetPMode | str = BetPMode.ALL_SUBSETS) -> float:

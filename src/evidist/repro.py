@@ -116,7 +116,7 @@ def sweep_bbas(case: int) -> tuple[Bba, Bba]:
     case 20 that set is the whole frame and the two entries merge. The
     second source is certain of {1..5}.
     """
-    if isinstance(case, bool) or not isinstance(case, int) or case not in SWEEP_CASES:
+    if type(case) is not int or case not in SWEEP_CASES:
         raise ValidationError(f"case must be in 1..{SWEEP_FRAME_SIZE}, got {case!r}")
     frame = build_frame(str(i) for i in range(1, SWEEP_FRAME_SIZE + 1))
     growing = set(range(1, case + 1))

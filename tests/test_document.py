@@ -206,7 +206,11 @@ _THREE = build_frame(["x", "y", "z"])
     ids=["smaller-frame", "larger-frame", "not-a-bba", "int-name", "tuple-name"],
 )
 def test_serialize_checks_names_and_bbas(frame, name, bba, error, message):
-    # The constructor rejects them, so no such document reaches serialize_document.
+    # ``bbas`` is a plain dict, so an entry can be added after parsing.
+    document = parse_document(json.dumps({"frame": list(frame.labels), "bbas": {}}))
+    document.bbas[name] = bba
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        serialize_document(document)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         EvidenceDocument(frame, {name: bba})
 
