@@ -32,7 +32,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 
 from .core import _left_sum
-from .document import EvidenceDocument, _CollectorPause, parse_document
+from .document import EvidenceDocument, _CollectorPause, _utf8_text, parse_document
 from .errors import DocumentError, EvidenceError, ValidationError
 
 EXIT_OK = 0
@@ -122,8 +122,10 @@ def _load_document(path: str) -> EvidenceDocument:
         file = open(path, "rb")
     except FileNotFoundError:
         raise DocumentError(f"cannot read {path}: file not found") from None
-    with file:  # no name keeps the bytes, so decoding frees them
-        return parse_document(file.read())
+    # No name keeps the bytes: they are freed once decoded, before the parse
+    # (Python 3.10 would keep an argument of parse_document alive in it).
+    with file:
+        return parse_document(_utf8_text(file.read()))
 
 
 def _split_names(raw: str) -> list[str]:

@@ -287,9 +287,13 @@ def _finite_mass(mass, frame: Frame, bits: int) -> float:
     """A finite number mass as a float; text is not parsed."""
     try:
         if not isinstance(mass, _NOT_MASS_TYPES):
-            mass = float(mass)
-            if math.isfinite(mass):
-                return mass
+            try:
+                mass = float(mass)
+            except ValueError:  # a signaling NaN, such as Decimal('sNaN'), has no float
+                pass
+            else:
+                if math.isfinite(mass):
+                    return mass
             raise ValidationError(
                 f"focal masses must be finite, got {mass!r} on {FocalSet(frame, bits)!r}"
             )

@@ -136,8 +136,8 @@ class _CollectorPause:
 def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     """Parse document text into a validated frame plus named BBAs.
 
-    ``bytes`` and ``bytearray`` are decoded as UTF-8 only; the CLI passes
-    a file's bytes here, so both report the same errors. A byte order
+    ``bytes`` and ``bytearray`` are decoded as UTF-8 only, by the helper
+    the CLI decodes a file with, so both report the same errors. A byte order
     mark is a syntax error. Syntax errors report line and column; the
     non-standard literals NaN, Infinity and -Infinity, repeated keys in
     one object, nesting deeper than the interpreter's recursion limit
@@ -164,13 +164,22 @@ def parse_document(text: str, *, renormalize: bool = False) -> EvidenceDocument:
     if not isinstance(text, str):
         if not isinstance(text, (bytes, bytearray)):
             raise _not_a(str, text)
-        # json.loads would also detect and take UTF-16 and UTF-32.
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DocumentError(f"not UTF-8 text (byte {exc.start})") from None
+        text = _utf8_text(text)
     with _CollectorPause():
         return _parse(text, renormalize)
+
+
+def _utf8_text(data: bytes | bytearray) -> str:
+    """``data`` decoded as strict UTF-8, the one decoder of document bytes.
+
+    The CLI decodes through here before it calls ``parse_document``, so
+    no frame of its own holds the bytes through the parse.
+    """
+    # json.loads would also detect and take UTF-16 and UTF-32.
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not UTF-8 text (byte {exc.start})") from None
 
 
 def _regular_masses(table: dict, entry_list: list) -> dict[int, float] | None:

@@ -82,6 +82,8 @@ class PignisticDistribution(_Frozen):
                 finite = math.isfinite(p)
             except TypeError:
                 raise _not_a(float, p) from None
+            except ValueError:  # a signaling NaN, such as Decimal('sNaN'), has no float
+                finite = False
             except OverflowError:  # an int past the float range; too long to repr
                 raise ValidationError(
                     f"probability of grade {label!r} is too large for a float"
@@ -123,9 +125,33 @@ def ppt(bba: Bba) -> PignisticDistribution:
 
 
 def _probabilities(bba: Bba) -> list[float]:
-    """``ppt(bba).probabilities`` as a list; ``bba`` must be a Bba."""
+    """``ppt(bba).probabilities`` as a list; ``bba`` must be a Bba.
+
+    Each focal set is tested once, from its lowest bit ``low``:
+
+    - a singleton (``bits == low``) adds its mass to its one grade;
+    - a run of consecutive grades (``bits + low`` shares no bit with
+      ``bits``) adds its share over a ``range`` of positions;
+    - any other set walks its bits, lowest first.
+
+    Every grade gets the same adds in the same order as the bit walk:
+    a run's size is ``hi - lo``, and a singleton's share ``mass / 1`` is
+    ``mass``. So every output bit is what the bit walk alone gives.
+    """
     probabilities = [0.0] * bba.frame.size
     for bits, mass in bba._by_bits.items():
+        low = bits & -bits
+        if bits == low:
+            probabilities[low.bit_length() - 1] += mass
+            continue
+        top = bits + low
+        if not top & bits:
+            lo = low.bit_length() - 1
+            hi = top.bit_length() - 1
+            share = mass / (hi - lo)
+            for i in range(lo, hi):
+                probabilities[i] += share
+            continue
         share = mass / bits.bit_count()
         while bits:  # the set bits, lowest position first
             low = bits & -bits
@@ -186,11 +212,20 @@ def _pignistic_against(reference: Bba, mode: BetPMode | None) -> Callable[[Bba],
             return max(abs(d) for d in diff)
         largest = 0.0
         for bits in reference._by_bits.keys() | candidate._by_bits.keys():
-            total = 0
-            while bits:  # the set bits, lowest position first
-                low = bits & -bits
-                total += diff[low.bit_length() - 1]
-                bits ^= low
+            low = bits & -bits  # the three cases of _probabilities
+            if bits == low:
+                total = diff[low.bit_length() - 1]
+            else:
+                total = 0
+                top = bits + low
+                if top & bits:
+                    while bits:  # the set bits, lowest position first
+                        low = bits & -bits
+                        total += diff[low.bit_length() - 1]
+                        bits ^= low
+                else:
+                    for i in range(low.bit_length() - 1, top.bit_length() - 1):
+                        total += diff[i]
             total = abs(total)
             if total > largest:
                 largest = total

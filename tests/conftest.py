@@ -58,11 +58,13 @@ def random_bba_pair(rng, size, **kwargs):
 
 
 @st.composite
-def bbas_on(draw, frame: Frame, max_focal: int = 6, include_full: bool = False):
+def bbas_on(draw, frame: Frame, max_focal: int = 6, include_full: bool = False, sets=None):
+    """A BBA with integer-weight masses on focal sets drawn from ``sets``,
+    a strategy of bitmasks; by default, any non-empty bitmask."""
     space = (1 << frame.size) - 1
     drawn = draw(
         st.lists(
-            st.tuples(st.integers(1, space), st.integers(1, 100)),
+            st.tuples(st.integers(1, space) if sets is None else sets, st.integers(1, 100)),
             min_size=1,
             max_size=max_focal,
         )
@@ -86,6 +88,26 @@ def bba_pairs(draw, min_size=2, max_size=8, include_full=False):
         draw(bbas_on(frame, include_full=include_full)),
         draw(bbas_on(frame, include_full=include_full)),
     )
+
+
+@st.composite
+def interval_bbas(draw, count=2, min_size=1, max_size=64):
+    """``count`` BBAs on one shared frame whose focal sets are runs of
+    consecutive grades: singletons, ``lo..hi`` runs, the whole frame and
+    runs that end at the last grade (bit 63 when N is 64). The frame is
+    often the largest allowed. ``bbas_on`` draws random bitmasks, which on
+    a large frame are almost never runs."""
+    size = draw(st.one_of(st.just(max_size), st.integers(min_size, max_size)))
+    full = (1 << size) - 1
+    position = st.integers(0, size - 1)
+    run = st.one_of(
+        position.map(lambda i: 1 << i),
+        st.tuples(position, position).map(lambda ends: (2 << max(ends)) - (1 << min(ends))),
+        st.just(full),
+        position.map(lambda lo: full ^ ((1 << lo) - 1)),
+    )
+    frame = make_frame(size)
+    return tuple(draw(bbas_on(frame, sets=run)) for _ in range(count))
 
 
 @st.composite

@@ -303,7 +303,7 @@ class TestBuildBba:
         with pytest.raises(ValidationError, match="nonnegative"):
             build_bba(frame, [({1}, 1.2), ({2}, -0.2)])
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, Decimal("sNaN")])
     def test_non_finite_mass_rejected(self, bad):
         # NaN fails every comparison, so a sign check alone would let it
         # through to be dropped like a zero mass, leaving {Poor}: 1.
@@ -461,10 +461,12 @@ class TestMassTypes:
             assert tuple(bba._by_bits.items()) == ((1, 0.5), (2, 0.5))
             assert all(type(mass) is float for mass in bba._by_bits.values())
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, Decimal("sNaN")], ids=["inf", "-inf", "nan", "snan"]
+    )
     def test_non_finite_masses_named_alike(self, bad):
         frame = build_frame(GRADES)
-        message = rf"^focal masses must be finite, got {bad!r} on \{{Poor\}}$"
+        message = rf"^focal masses must be finite, got {re.escape(repr(bad))} on \{{Poor\}}$"
         with pytest.raises(ValidationError, match=message):
             build_bba(frame, [(["Poor"], bad)])
         with pytest.raises(ValidationError, match=message):

@@ -14,6 +14,7 @@ from conftest import (
     EDGE_SUM_DOCUMENT,
     bba_pairs,
     bba_triples,
+    interval_bbas,
     make_frame,
     ppt_by_members,
     random_bba,
@@ -447,7 +448,7 @@ def pairwise_formula(text, m1, m2):
 
 
 class TestAgainst:
-    @given(triple=bba_triples(min_size=1, max_size=20))
+    @given(triple=st.one_of(bba_triples(min_size=1, max_size=20), interval_bbas(count=3)))
     def test_scorer_equals_evaluate_and_pairwise_formula(self, triple):
         reference, b, c = triple
         for text in MEASURE_SPELLINGS:

@@ -2,6 +2,7 @@
 
 import random
 import re
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from conftest import (
     bbas_off_unit_sum,
     bbas_on,
     brute_force_max_gap,
+    interval_bbas,
     make_frame,
     ppt_by_members,
 )
@@ -55,7 +57,7 @@ class TestPpt:
             assert all(x >= 0.0 for x in p)
             assert sum(p) == pytest.approx(1.0, abs=1e-9)
 
-    @given(pair=bba_pairs(min_size=1, max_size=64))
+    @given(pair=st.one_of(bba_pairs(min_size=1, max_size=64), interval_bbas()))
     def test_equals_member_loop(self, pair):
         # Same shares, added in the same ascending order: equal, not close.
         for bba in pair:
@@ -81,11 +83,12 @@ class TestPpt:
             ((1.0,), "distribution has 1 probabilities for a frame of 2 grades"),
             ((1.0, float("nan")), "probability of grade 'B' must be finite, got nan"),
             ((float("inf"), 0.0), "probability of grade 'A' must be finite, got inf"),
+            ((Decimal("sNaN"), 1.0), "probability of grade 'A' must be finite, got Decimal('sNaN')"),
             ((1.0, -0.5), "probability of grade 'B' must be nonnegative, got -0.5"),
             ((True, False), "expected a float, got bool"),
             ((10**400, 0), "probability of grade 'A' is too large for a float"),
         ],
-        ids=["too-long", "too-short", "nan", "infinite", "negative", "bool", "huge-int"],
+        ids=["too-long", "too-short", "nan", "infinite", "signaling-nan", "negative", "bool", "huge-int"],
     )
     def test_to_bba_rejects_malformed_probabilities(self, probabilities, message):
         # The constructor rejects them, so no such distribution reaches to_bba.
