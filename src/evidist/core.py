@@ -101,9 +101,9 @@ class Frame(_Frozen):
 
     The label order is semantic: the position distance between two grades
     is what the order-aware distance measure feeds on. Positions are
-    1-based. Labels may not contain ',', '{' or '}', the characters a
-    focal set's display uses. Any iterable of labels but a bare str or
-    bytes is accepted and kept as a tuple.
+    1-based. Labels may not be empty or contain ',', '{' or '}', the
+    characters a focal set's display uses. Any iterable of labels but a
+    bare str or bytes is accepted and kept as a tuple.
     """
 
     _fields = ("labels",)
@@ -128,6 +128,8 @@ class Frame(_Frozen):
         for label in labels:
             if not isinstance(label, str):
                 raise ValidationError(f"labels must be strings, got {label!r}")
+            if not label:
+                raise ValidationError("label '' is empty, which would make set displays ambiguous")
             if "," in label or "{" in label or "}" in label:
                 raise ValidationError(
                     f"label {label!r} contains ',', '{{' or '}}', "

@@ -56,6 +56,7 @@ def rank_by_distance(
         raise _not_a(DistanceMeasure, measure)
     score = measure.against(reference)  # checks that the reference is a Bba
     frame = reference.frame
+    names, distances = [], []
     for position, item in enumerate(items, 1):
         try:
             name, bba = item
@@ -67,22 +68,19 @@ def rank_by_distance(
             raise ValidationError(f"candidate {name!r} is not a Bba, got {type(bba).__name__}")
         if bba.frame is not frame and bba.frame != frame:
             raise FrameMismatchError(f"candidate {name!r} is defined on a different frame")
-    scored = [(score(bba), index, name) for index, (name, bba) in enumerate(items)]
-    scored.sort()  # each index is unique, so names are never compared
+        names.append(name)
+        distances.append(score(bba))
 
-    # Cluster near-equal distances, restore input order inside each cluster.
-    clusters: list[list[tuple[float, int, str]]] = []
-    for item in scored:
-        if clusters and item[0] - clusters[-1][-1][0] <= TIE_TOLERANCE:
-            clusters[-1].append(item)
-        else:
-            clusters.append([item])
+    # The stable sort keeps input order among equal distances; sorting a
+    # cluster's indices restores it among near-equal ones.
+    order = sorted(range(len(names)), key=distances.__getitem__)
     entries = []
-    position = 1
-    for cluster in clusters:
-        cluster.sort(key=lambda t: t[1])
-        tied = len(cluster) > 1
-        for distance, _, name in cluster:
-            entries.append(RankedCandidate(name, distance, position, tied))
-            position += 1
+    start = 0
+    for end in range(1, len(order) + 1):
+        if end < len(order) and distances[order[end]] - distances[order[end - 1]] <= TIE_TOLERANCE:
+            continue
+        tied = end - start > 1
+        for index in sorted(order[start:end]):
+            entries.append(RankedCandidate(names[index], distances[index], len(entries) + 1, tied))
+        start = end
     return RankingResult(measure.label, reference_name, tuple(entries))

@@ -245,6 +245,13 @@ class TestValidate:
         assert (code, out) == (2, "")
         assert "'a,b'" in err
 
+    def test_empty_label_exit_code(self, tmp_path):
+        path = tmp_path / "label.json"
+        path.write_text('{"frame": ["", "B"], "bbas": {"m": [{"set": [""], "mass": 1.0}]}}')
+        code, out, err = cli("combine", str(path), "--bbas", "m,m")
+        assert (code, out) == (2, "")
+        assert err.startswith("evidist: frame: label ''")
+
     def test_missing_file(self):
         code, _, err = cli("validate", "no-such-file.json")
         assert code == 2

@@ -74,6 +74,12 @@ class TestBuildFrame:
         with pytest.raises(ValidationError, match=re.escape(f"label {label!r}")):
             build_frame(["c", label])
 
+    def test_empty_label_rejected(self):
+        # The set holding only "" would display as "{}", the empty set.
+        message = "label '' is empty, which would make set displays ambiguous"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Frame(["", "B"])
+
     def test_other_punctuation_allowed(self):
         frame = build_frame(["a b", "c;d", "(e)", "f|g", "[h]"])
         assert repr(frame.subset([1, 4])) == "{a b,f|g}"

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bba_pairs, make_frame, random_bba
+from conftest import bba_pairs, bbas_on, make_frame, random_bba
 from evidist.core import build_bba, build_frame
 from evidist.distance import DistanceMeasure
 from evidist.document import parse_document
 from evidist.errors import FrameMismatchError, ValidationError
-from evidist.ranking import TIE_TOLERANCE, rank_by_distance
+from evidist.ranking import TIE_TOLERANCE, RankedCandidate, RankingResult, rank_by_distance
 
 GRADES = ("Poor", "Low", "Middle", "High", "Perfect")
 
@@ -81,6 +81,75 @@ def test_order_blind_measure_ties_and_keeps_input_order():
         reference, list(reversed(candidates)), DistanceMeasure.parse("jousselme")
     )
     assert [e.name for e in flipped.entries] == ["m3", "m2"]
+
+
+@pytest.mark.parametrize("text", ["betp:singleton", "betp:focal"])
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        ([(["A"], 0.3), (["B"], 0.7000000000000001)], [(["A"], 0.3), (["B"], 0.7)]),
+        ([(["A"], 1.0), (["C"], 1e-12)], [(["A"], 1.0)]),  # 1e-12 and 0.0
+    ],
+    ids=["within-the-tolerance", "at-the-tolerance"],
+)
+def test_near_tie_keeps_input_order(text, first, second):
+    # The distances differ, so the sort puts the second candidate first,
+    # and the tie puts it back second.
+    frame = build_frame(["A", "B", "C"])
+    reference = build_bba(frame, [(["A"], 1.0)])
+    candidates = [("first", build_bba(frame, first)), ("second", build_bba(frame, second))]
+    result = rank_by_distance(reference, candidates, DistanceMeasure.parse(text))
+    assert [(e.name, e.rank, e.tied) for e in result.entries] == [
+        ("first", 1, True),
+        ("second", 2, True),
+    ]
+    assert 0 < result.entries[0].distance - result.entries[1].distance <= TIE_TOLERANCE
+
+
+def plain_ranking(names, distances):
+    """The tie rule read plainly: sort by (distance, index), start a new
+    cluster wherever the gap to the previous distance exceeds
+    TIE_TOLERANCE, keep input order inside a cluster and flag every member
+    of a cluster of two or more as tied."""
+    clusters = []
+    for distance, index in sorted(zip(distances, range(len(names)))):
+        if clusters and distance - distances[clusters[-1][-1]] <= TIE_TOLERANCE:
+            clusters[-1].append(index)
+        else:
+            clusters.append([index])
+    ranked = [(index, len(cluster) > 1) for cluster in clusters for index in sorted(cluster)]
+    return tuple(
+        RankedCandidate(names[index], distances[index], rank, tied)
+        for rank, (index, tied) in enumerate(ranked, 1)
+    )
+
+
+@st.composite
+def ranking_inputs(draw):
+    """A reference and one to nine candidates on one frame, drawn from a
+    pool of at most four BBAs that may hold the reference, so that equal
+    distances occur."""
+    frame = make_frame(draw(st.integers(2, 6)))
+    reference = draw(bbas_on(frame))
+    pool = [reference] + draw(st.lists(bbas_on(frame), min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    return reference, [(f"c{i}", bba) for i, bba in enumerate(picks)]
+
+
+@settings(max_examples=60)
+@given(
+    drawn=ranking_inputs(),
+    text=st.sampled_from(["red", "jousselme", "betp:all", "betp:singleton", "betp:focal"]),
+    as_mapping=st.booleans(),
+)
+def test_ranking_equals_plain_reference(drawn, text, as_mapping):
+    reference, pairs = drawn
+    measure = DistanceMeasure.parse(text)
+    score = measure.against(reference)
+    expected = plain_ranking([name for name, _ in pairs], [score(bba) for _, bba in pairs])
+    candidates = dict(pairs) if as_mapping else pairs
+    result = rank_by_distance(reference, candidates, measure, reference_name="r")
+    assert result == RankingResult(measure.label, "r", expected)
 
 
 def test_empty_candidates_rejected():
