@@ -321,6 +321,11 @@ class Bba(_Frozen):
     set, mass), built on first access and then kept. Equality and hashing
     go by the frame and the dict; the canonical order is a function of
     the content, so equal dicts hash alike.
+
+    ``pignistic.ppt`` keeps the N probabilities it computes on the BBA,
+    so a reference scored under several measures is transformed once.
+    Rank candidates keep none: each is scored once, and keeping 10 000 of
+    them on 20 grades would add about 3.3 MB (7 %) to a rank's peak RSS.
     """
 
     _fields = ("frame", "_by_bits")

@@ -117,11 +117,16 @@ def ppt(bba: Bba) -> PignisticDistribution:
 
     Every focal mass is split evenly across the set's members; a grade's
     probability is the sum of its shares. Mass on the empty set is ruled
-    out at construction, so no renormalization is needed here.
+    out at construction, so no renormalization is needed here. The
+    probabilities are kept on ``bba`` the first time, as ``entries`` is.
     """
     if not isinstance(bba, Bba):
         raise _not_a(Bba, bba)
-    return PignisticDistribution._trusted(bba.frame, tuple(_probabilities(bba)))
+    d = bba.__dict__
+    probabilities = d.get("_pignistic")
+    if probabilities is None:
+        probabilities = d["_pignistic"] = tuple(_probabilities(bba))
+    return PignisticDistribution._trusted(bba.frame, probabilities)
 
 
 def _probabilities(bba: Bba) -> list[float]:
@@ -185,7 +190,8 @@ def dif_betp(m1: Bba, m2: Bba, mode: BetPMode | str = BetPMode.ALL_SUBSETS) -> f
 
 def _pignistic_against(reference: Bba, mode: BetPMode | None) -> Callable[[Bba], float]:
     """``red_distance`` (``mode`` None) or ``dif_betp`` from ``reference``
-    as a function of the candidate, with the reference transformed once.
+    as a function of the candidate. The reference is transformed once, by
+    ``ppt``, which keeps its probabilities; a candidate's are not kept.
     Sums are added left to right (see core._left_sum), inline for speed."""
     p1 = ppt(reference).probabilities  # first: ppt checks it is a Bba
     if mode is None:

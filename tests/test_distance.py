@@ -486,17 +486,25 @@ class TestAgainst:
             calls.append(bba)
             return probabilities(bba)
 
-        # ppt builds the reference's from it; the one scorer takes each
-        # candidate's straight from it.
+        # ppt keeps the reference's probabilities, so every later ppt,
+        # measure and scorer from it reads them; each call computes the
+        # candidate's afresh.
         monkeypatch.setattr(evidist.pignistic, "_probabilities", counting_probabilities)
         reference = grade_categorical(1)
         candidates = [grade_categorical(i) for i in (1, 2, 3, 4, 5)]
+        other = candidates[2]
+        ppt(reference)
+        ppt(reference)
+        red_distance(reference, other)
+        for mode in BetPMode:
+            dif_betp(reference, other, mode)
         for text in ("red", "betp:all", "betp:singleton", "betp:focal"):
-            calls.clear()
             score = DistanceMeasure.parse(text).against(reference)
             for candidate in candidates:
                 score(candidate)
-            assert calls == [reference] + candidates
+        # By identity: candidates[0] equals the reference.
+        expected = [reference] + [other] * 4 + candidates * 4
+        assert list(map(id, calls)) == list(map(id, expected))
 
 
 def interval_fold(seed, size=64, sources=8):

@@ -1,5 +1,7 @@
 """Pignistic transformation and betting-commitment distances."""
 
+import copy
+import pickle
 import random
 import re
 from decimal import Decimal
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden_outputs
 from conftest import (
     EDGE_SUM_DOCUMENT,
     bba_pairs,
@@ -18,9 +21,9 @@ from conftest import (
     make_frame,
     ppt_by_members,
 )
-from evidist.combination import combine_dempster
+from evidist.combination import combine_all, combine_dempster
 from evidist.core import build_bba, build_frame, vacuous_bba
-from evidist.distance import red_distance
+from evidist.distance import DistanceMeasure, red_distance
 from evidist.document import parse_document
 from evidist.errors import FrameMismatchError, TotalConflictError, ValidationError
 from evidist.pignistic import (
@@ -30,6 +33,7 @@ from evidist.pignistic import (
     dif_betp,
     ppt,
 )
+from evidist.ranking import rank_by_distance
 from evidist.repro import sweep_bbas
 
 
@@ -113,6 +117,62 @@ class TestPpt:
         distribution = ppt(build_bba(frame, [({1, 2}, 0.5), ({4}, 0.5)]))
         assert distribution.probabilities == (0.25, 0.25, 0.0, 0.5)
         assert distribution.to_bba()._by_bits == {1: 0.25, 2: 0.25, 8: 0.5}
+
+
+def _keeping(bbas):
+    """The BBAs among ``bbas`` that keep a pignistic vector."""
+    return [bba for bba in bbas if "_pignistic" in vars(bba)]
+
+
+class TestKeptProbabilities:
+    """``ppt`` keeps a BBA's probabilities on it. Nothing else keeps any,
+    so parsed and fused BBAs, and rank candidates, stay as built."""
+
+    def test_value_semantics_are_unchanged(self):
+        frame = make_frame(4)
+        entries = [({1, 2}, 0.5), ({2, 3, 4}, 0.3), ({4}, 0.2)]
+        bba, twin = build_bba(frame, entries), build_bba(frame, entries)
+
+        def clones():
+            return copy.copy(bba), copy.deepcopy(bba), pickle.loads(pickle.dumps(bba))
+
+        def semantics():
+            return [bba == twin, twin == bba, hash(bba), repr(bba)] + [
+                (type(clone), clone == bba, clone == twin, hash(clone), repr(clone))
+                for clone in clones()
+            ]
+
+        before = semantics()
+        distribution = ppt(bba)
+        assert "_pignistic" in vars(bba) and "_pignistic" not in vars(twin)
+        assert semantics() == before
+        assert ppt(bba).probabilities is ppt(bba).probabilities
+        assert ppt(bba).probabilities is distribution.probabilities
+        assert ppt(bba) == distribution == ppt(twin)
+        for clone in clones():
+            assert ppt(clone) == distribution
+
+    def test_parse_and_combine_keep_none(self):
+        document = parse_document(
+            '{"frame": ["A", "B", "C", "D"], "bbas": {'
+            '"m1": [{"set": ["A", "B"], "mass": 0.6}, {"set": [1, 2, 3, 4], "mass": 0.4}], '
+            '"m2": [{"set": ["B"], "mass": 0.3}, {"set": ["B", "C", "D"], "mass": 0.5}, '
+            '{"set": [1, 2, 3, 4], "mass": 0.2}], '
+            '"m3": [{"set": ["A", "C"], "mass": 0.7}, {"set": [1, 2, 3, 4], "mass": 0.3}]}}'
+        )
+        bbas = list(document.bbas.values())
+        fused = combine_all(bbas)
+        assert _keeping([*bbas, fused]) == []
+
+    @pytest.mark.parametrize("text", ["red", "betp:all", "betp:singleton", "betp:focal", "jousselme"])
+    def test_rank_keeps_the_reference_only(self, text):
+        document = parse_document(golden_outputs.generated_document(7, 200, 20))
+        bbas = list(document.bbas.values())
+        assert _keeping(bbas) == []
+        reference = bbas[0]  # also ranked as a candidate
+        rank_by_distance(reference, document.bbas, DistanceMeasure.parse(text))
+        kept = [] if text == "jousselme" else [reference]
+        assert list(map(id, _keeping(bbas))) == list(map(id, kept))
 
 
 class TestBetpOfSubset:
