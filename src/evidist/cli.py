@@ -129,7 +129,8 @@ def _load_document(path: str) -> EvidenceDocument:
 
 
 def _split_names(raw: str) -> list[str]:
-    return [name.strip() for name in raw.split(",") if name.strip()]
+    # Each name is kept as given, as --reference and --bba take it.
+    return raw.split(",")
 
 
 def _parse_measure(raw: str):

@@ -1,4 +1,5 @@
-"""Shared test helpers: deterministic random frames, BBAs, and oracles."""
+"""Shared test helpers: deterministic random frames, BBAs, and float oracles;
+the exact one is ``exact``."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from functools import lru_cache
 from hypothesis import assume
 from hypothesis import strategies as st
 
+import exact
 from evidist.core import Bba, FocalSet, Frame, build_bba, build_frame
 from evidist.errors import ValidationError
 
@@ -185,39 +187,17 @@ def sweep_pair_spec(case: int) -> tuple[dict, dict]:
     return m1, {frozenset(range(1, 6)): Fraction(1)}
 
 
-def _exact_betp(masses: dict) -> list:
-    probabilities = [Fraction(0)] * SWEEP_FRAME_SIZE
-    for focal, mass in masses.items():
-        for position in focal:
-            probabilities[position - 1] += mass / len(focal)
-    return probabilities
-
-
 @lru_cache(maxsize=None)
 def sweep_oracle(case: int) -> dict[str, Fraction]:
-    """Exact sweep cells of one case, in rational arithmetic.
-
-    ``jousselme`` and ``red`` are the radicands 1/2 d^T W d of the two
-    quadratic-form measures: W holds the Jaccard weights |A n B| / |A u B|
-    over the union of both sources' focal sets for the first, and the
-    grade-closeness weights 1 - |i - j| / (N - 1) on the pignistic
-    difference for the second. ``betp_focal`` is the measure's value itself:
-    the largest |BetP1(A) - BetP2(A)| over the focal sets A of either source.
-    """
-    m1, m2 = sweep_pair_spec(case)
-    focal = sorted(set(m1) | set(m2), key=sorted)
-    d = [m1.get(a, Fraction(0)) - m2.get(a, Fraction(0)) for a in focal]
-    jousselme = sum(
-        d[i] * d[j] * Fraction(len(a & b), len(a | b))
-        for i, a in enumerate(focal)
-        for j, b in enumerate(focal)
-    ) / 2
-    delta = [p - q for p, q in zip(_exact_betp(m1), _exact_betp(m2))]
-    n = SWEEP_FRAME_SIZE
-    red = sum(
-        delta[i] * delta[j] * (1 - Fraction(abs(i - j), n - 1))
-        for i in range(n)
-        for j in range(n)
-    ) / 2
-    betp_focal = max(abs(sum(delta[i - 1] for i in a)) for a in focal)
-    return {"jousselme": jousselme, "red": red, "betp_focal": betp_focal}
+    """Exact sweep cells of one case, from the ``exact`` oracle:
+    ``jousselme`` and ``red`` are the radicands of the two quadratic-form
+    measures, and ``betp_focal`` is the measure's value itself."""
+    m1, m2 = (
+        {sum(1 << (i - 1) for i in focal): mass for focal, mass in spec.items()}
+        for spec in sweep_pair_spec(case)
+    )
+    return {
+        "jousselme": exact.jousselme_radicand(m1, m2),
+        "red": exact.red_radicand(m1, m2, SWEEP_FRAME_SIZE),
+        "betp_focal": exact.dif_betp(m1, m2, SWEEP_FRAME_SIZE, "focal"),
+    }

@@ -193,6 +193,10 @@ MALFORMED: dict[str, str | bytes] = {
         ' {"set": ["A", "B", "E", "G"], "mass": 0.770000001}],'
         ' "r": [{"set": ["D"], "mass": 1.0}]}}'
     ),
+    # Two names that differ only by a leading space: a name is taken as given.
+    "spaced-names": _bba_document(
+        '{" m": [{"set": ["A"], "mass": 1.0}], "m": [{"set": ["B"], "mass": 1.0}]}'
+    ),
 }
 
 
@@ -244,6 +248,11 @@ def _usage_commands() -> list[list[str]]:
         ["dist", pairs, "--pair", "m1,mX"],
         ["combine", pairs, "--bbas", "m1"],
         ["combine", pairs, "--bbas", "m1,mX"],
+        ["dist", pairs, "--pair", "m1, m2"],
+        ["dist", pairs, "--pair", "m1,"],
+        ["combine", pairs, "--bbas", "m1,m2,"],
+        ["dist", "malformed/spaced-names.json", "--pair", " m,m"],
+        ["combine", "malformed/spaced-names.json", "--bbas", " m,m"],
         ["rank", pairs, "--reference", "mX"],
         ["rank", pairs, "--reference", "m1", "--measure", "betp:"],
         ["ppt", pairs, "--bba", "mX"],

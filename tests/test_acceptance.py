@@ -31,12 +31,20 @@ from conftest import (
     sweep_oracle,
     sweep_pair_spec,
 )
+import exact
 from evidist.combination import combine_dempster, conflict
 from evidist.core import build_bba, build_frame, mass_of, vacuous_bba
 from evidist.distance import DistanceMeasure, red_distance, red_reduces_to_jousselme
 from evidist.errors import TotalConflictError, ValidationError
 from evidist.pignistic import BetPMode, dif_betp, ppt
-from evidist.repro import SWEEP_CASES, comparison_rows, sweep_bbas, sweep_rows
+from evidist.repro import (
+    DISPLAY_TOLERANCE,
+    SWEEP_CASES,
+    comparison_documents,
+    comparison_rows,
+    sweep_bbas,
+    sweep_rows,
+)
 
 GRADES = ("Poor", "Low", "Middle", "High", "Perfect")
 
@@ -120,7 +128,26 @@ def test_criterion_04_comparison_report_flags():
     for (case, other, measure), row in rows.items():
         if measure == "red":
             assert row["match"] is True
+
+    # Every cell against its exact value; the two unreproducible cells as
+    # proven errata, as for criterion 5.
+    documents = comparison_documents()
+    for (case, other, measure), row in rows.items():
+        first, second = (exact.masses(documents[case].bba(name)) for name in ("m1", other))
+        value = exact.measure(measure, first, second, len(GRADES))
+        assert abs(row["computed"] - _exact_cell(measure, value)) <= SWEEP_ORACLE_TOLERANCE
+        if (case, other, measure) in COMPARISON_ERRATA:
+            assert value == COMPARISON_ERRATA[(case, other, measure)]
+            assert abs(row["expected"] - _exact_cell(measure, value)) > DISPLAY_TOLERANCE
     _report(4, "comparison-report-flags")
+
+
+# Recorded comparison cells that contradict the measure, keyed by (case,
+# bba_2, measure), with the exact radicand of the pair.
+COMPARISON_ERRATA = {
+    ("overlapping-pairs", "m2", "jousselme"): Fraction(1, 2),
+    ("overlapping-pairs", "m3", "jousselme"): Fraction(1, 2),
+}
 
 
 # Recorded reference columns for the sweep benchmark, cases 1..20.
@@ -158,8 +185,8 @@ SWEEP_ERRATA = {
 
 
 def _exact_cell(column, value):
-    """A sweep cell from the oracle's value: a radicand except for betp_focal."""
-    return float(value) if column == "betp_focal" else math.sqrt(value)
+    """A cell from the oracle's value: a radicand except for betp columns."""
+    return float(value) if column.startswith("betp") else math.sqrt(value)
 
 
 def _assert_single_trough(values, label):

@@ -103,6 +103,29 @@ class TestDist:
         code, _, err = cli("dist", singletons_file, "--pair", "m1,m2,m3")
         assert code == 1 and "exactly two" in err
 
+    @pytest.mark.parametrize("command", ["dist", "combine"])
+    @pytest.mark.parametrize(
+        "names,missing", [("m1, m2", "' m2'"), ("m1,", "''"), (",m1", "''")]
+    )
+    def test_names_are_looked_up_as_given(self, singletons_file, command, names, missing):
+        option = "--pair" if command == "dist" else "--bbas"
+        code, out, err = cli(command, singletons_file, option, names)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"evidist: no BBA named {missing} in document")
+
+    def test_a_name_with_a_space_is_not_another_name(self, tmp_path):
+        path = tmp_path / "spaced.json"
+        path.write_text(
+            '{"frame": ["A", "B"], "bbas": {" m": [{"set": ["A"], "mass": 1.0}],'
+            ' "m": [{"set": ["B"], "mass": 1.0}]}}',
+            encoding="utf-8",
+        )
+        code, out, err = cli("dist", str(path), "--pair", " m,m")
+        assert (code, out, err) == (0, "bba_1,bba_2,measure,distance\n m,m,red,1.0000\n", "")
+        code, out, err = cli("combine", str(path), "--bbas", " m,m")
+        assert (code, out) == (3, "") and "total conflict" in err
+        assert cli("combine", str(path), "--bbas", "m,m") == (0, "set,mass\n{B},1.0000\n", "")
+
 
 class TestRank:
     def test_red_ranking_rows(self, singletons_file):

@@ -8,11 +8,12 @@ dividing by 1 - k = 0.7 gives masses 5/7 and 2/7.
 """
 
 import random
-from itertools import chain, combinations, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 
+import exact
 from conftest import bba_pairs, bba_triples, make_frame, random_bba
 from evidist.combination import combine_all, combine_dempster, conflict
 from evidist.core import build_bba, build_frame, mass_of, vacuous_bba
@@ -206,33 +207,6 @@ def test_combine_all_names_the_position():
         combine_all(iter([bba, bba, {}]))
 
 
-# Independent oracle: enumerate every pair of powerset subsets as label
-# frozensets, with zero mass for non-focal sets.
-def _powerset(labels):
-    return chain.from_iterable(
-        combinations(labels, r) for r in range(1, len(labels) + 1)
-    )
-
-
-def oracle_combine(frame, m1, m2):
-    as_map = lambda bba: {frozenset(fs.labels): mass for fs, mass in bba.entries}
-    map1, map2 = as_map(m1), as_map(m2)
-    subsets = [frozenset(s) for s in _powerset(frame.labels)]
-    k = 0.0
-    accumulated = {}
-    for a in subsets:
-        for b in subsets:
-            product = map1.get(a, 0.0) * map2.get(b, 0.0)
-            if product == 0.0:
-                continue
-            joint = a & b
-            if joint:
-                accumulated[joint] = accumulated.get(joint, 0.0) + product
-            else:
-                k += product
-    return {s: v / (1.0 - k) for s, v in accumulated.items()}, k
-
-
 def test_oracle_equivalence():
     rng = random.Random(31)
     for _ in range(50):
@@ -240,10 +214,9 @@ def test_oracle_equivalence():
         frame = make_frame(size)
         m1 = random_bba(rng, frame, max_focal=8, include_full=True)
         m2 = random_bba(rng, frame, max_focal=8, include_full=True)
-        expected, expected_k = oracle_combine(frame, m1, m2)
-        assert conflict(m1, m2) == pytest.approx(expected_k, abs=1e-12)
-        combined = combine_dempster(m1, m2)
-        actual = {frozenset(fs.labels): mass for fs, mass in combined.entries}
+        expected, expected_k = exact.combine(exact.masses(m1), exact.masses(m2))
+        assert conflict(m1, m2) == pytest.approx(float(expected_k), abs=1e-12)
+        actual = combine_dempster(m1, m2)._by_bits
         assert set(actual) == set(expected)
-        for key, value in expected.items():
-            assert actual[key] == pytest.approx(value, abs=1e-12)
+        for bits, value in expected.items():
+            assert actual[bits] == pytest.approx(float(value), abs=1e-12)

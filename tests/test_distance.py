@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 from itertools import accumulate
 from operator import sub
 
@@ -19,6 +20,7 @@ from conftest import (
     ppt_by_members,
     random_bba,
 )
+import exact
 from evidist.combination import combine_all, combine_dempster, conflict
 from evidist.core import Bba, FocalSet, _left_sum, build_bba, build_frame, mass_of, vacuous_bba
 from evidist.document import EvidenceDocument, parse_document, serialize_document
@@ -93,26 +95,6 @@ class TestJousselme:
             jousselme_distance(m1, m2)
 
 
-def jousselme_full_basis(m1, m2):
-    """Oracle: evaluate the quadratic form over the entire powerset basis."""
-    import numpy as np
-
-    n = m1.frame.size
-    masks = np.arange(1, 1 << n)
-    popcount = np.array([m.bit_count() for m in range(1 << n)])
-    inter = popcount[masks[:, None] & masks[None, :]]
-    union = popcount[masks[:, None] | masks[None, :]]
-    weights = inter / union
-    v1 = np.zeros(len(masks))
-    v2 = np.zeros(len(masks))
-    for fs, mass in m1.entries:
-        v1[fs.bits - 1] = mass
-    for fs, mass in m2.entries:
-        v2[fs.bits - 1] = mass
-    d = v1 - v2
-    return math.sqrt(0.5 * max(float(d @ weights @ d), 0.0))
-
-
 def test_jousselme_joint_list_equals_full_basis():
     rng = random.Random(17)
     for _ in range(12):
@@ -120,9 +102,12 @@ def test_jousselme_joint_list_equals_full_basis():
         frame = make_frame(size)
         m1 = random_bba(rng, frame, max_focal=8)
         m2 = random_bba(rng, frame, max_focal=8)
-        assert jousselme_distance(m1, m2) == pytest.approx(
-            jousselme_full_basis(m1, m2), abs=1e-12
-        )
+        e1, e2 = exact.masses(m1), exact.masses(m2)
+        radicand = exact.jousselme_radicand(e1, e2)
+        assert jousselme_distance(m1, m2) == pytest.approx(math.sqrt(radicand), abs=1e-12)
+        if size <= 6:  # every subset of the frame, most with mass 0
+            basis = dict.fromkeys(range(1, 1 << size), Fraction(0))
+            assert exact.jousselme_radicand({**basis, **e1}, {**basis, **e2}) == radicand
 
 
 class TestQuadraticFormGuard:
@@ -141,23 +126,16 @@ class TestQuadraticFormGuard:
 
 class TestCorrelationMatrix:
     def test_five_grade_matrix(self):
-        import numpy as np
-
-        expected = np.array(
-            [
-                [1.0, 0.75, 0.5, 0.25, 0.0],
-                [0.75, 1.0, 0.75, 0.5, 0.25],
-                [0.5, 0.75, 1.0, 0.75, 0.5],
-                [0.25, 0.5, 0.75, 1.0, 0.75],
-                [0.0, 0.25, 0.5, 0.75, 1.0],
-            ]
+        assert correlation_matrix(5) == (
+            (1.0, 0.75, 0.5, 0.25, 0.0),
+            (0.75, 1.0, 0.75, 0.5, 0.25),
+            (0.5, 0.75, 1.0, 0.75, 0.5),
+            (0.25, 0.5, 0.75, 1.0, 0.75),
+            (0.0, 0.25, 0.5, 0.75, 1.0),
         )
-        assert np.array_equal(correlation_matrix(5), expected)
 
     def test_two_grades_is_identity(self):
-        import numpy as np
-
-        assert np.array_equal(correlation_matrix(2), np.eye(2))
+        assert correlation_matrix(2) == ((1.0, 0.0), (0.0, 1.0))
 
     def test_twenty_grades_corners(self):
         s = correlation_matrix(20)
@@ -165,9 +143,7 @@ class TestCorrelationMatrix:
         assert s[0][1] == pytest.approx(1 - 1 / 19, abs=1e-15)
 
     def test_single_grade(self):
-        import numpy as np
-
-        assert np.array_equal(correlation_matrix(1), np.eye(1))
+        assert correlation_matrix(1) == ((1.0,),)
 
     def test_zero_rejected(self):
         for size in (0, -1):
@@ -176,16 +152,28 @@ class TestCorrelationMatrix:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 10, 20, 35, 50])
     def test_structure_and_psd(self, size):
+        s = correlation_matrix(size)
+        assert all(s[i][j] == s[j][i] for i in range(size) for j in range(size))
+        assert all(s[i][i] == 1.0 for i in range(size))
+        assert all(0.0 <= x <= 1.0 for row in s for x in row)
+        for offset in range(1, size):
+            diagonal = [s[i][i + offset] for i in range(size - offset)]
+            assert all(x == diagonal[0] for x in diagonal)  # Toeplitz
+        # Exactly PSD: no LDL^T pivot of the entries, each taken as a rational, is negative.
+        a = [[Fraction(x) for x in row] for row in s]
+        for k in range(size):  # on the upper triangle, which stays symmetric
+            assert a[k][k] >= 0
+            for i in range(k + 1, size):
+                factor = a[k][i] / a[k][k]
+                for j in range(i, size):
+                    a[i][j] -= factor * a[k][j]
+
+    def test_an_array_library_converts_it_as_it_stands(self):
         import numpy as np
 
-        s = np.asarray(correlation_matrix(size))
-        assert np.array_equal(s, s.T)
-        assert np.all(np.diag(s) == 1.0)
-        assert np.all(s >= 0.0) and np.all(s <= 1.0)
-        for offset in range(1, size):
-            diag = np.diagonal(s, offset)
-            assert np.all(diag == diag[0])  # Toeplitz
-        assert np.linalg.eigvalsh(s).min() >= -1e-10
+        s = np.asarray(correlation_matrix(5))
+        assert s.dtype == np.float64 and s.shape == (5, 5)
+        assert s.tolist() == [list(row) for row in correlation_matrix(5)]
 
     @pytest.mark.parametrize("size", [True, 2.5, "3", 0, 65])
     def test_only_frame_sizes_are_accepted(self, size):
@@ -202,13 +190,10 @@ class TestCorrelationMatrix:
 
     @pytest.mark.parametrize("size", range(1, 65))
     def test_bit_identical_to_array_formula(self, size):
-        import numpy as np
-
         if size == 1:
-            expected = np.ones((1, 1))
+            expected = [[1.0]]
         else:
-            i = np.arange(size)
-            expected = 1.0 - np.abs(i[:, None] - i[None, :]) / (size - 1)
+            expected = [[1.0 - abs(i - j) / (size - 1) for j in range(size)] for i in range(size)]
         s = correlation_matrix(size)
         assert type(s) is tuple and len(s) == size
         assert all(type(row) is tuple and len(row) == size for row in s)
@@ -287,28 +272,20 @@ class TestRedDistance:
 
     @given(pair=bba_pairs(max_size=12))
     def test_zero_sum_quadratic_identity(self, pair):
-        import numpy as np
-
-        # With sum(d) = 0 the S-form equals -(1/(N-1)) * sum d_i d_j |i-j|.
+        # With sum(d) = 0 the S-form d^T S d equals -(1/(N-1)) * sum d_i d_j |i-j|.
         m1, m2 = pair
         size = m1.frame.size
-        d = np.array(ppt(m1).probabilities) - np.array(ppt(m2).probabilities)
-        direct = float(d @ correlation_matrix(size) @ d)
-        positions = np.arange(size)
-        gaps = np.abs(positions[:, None] - positions[None, :])
-        via_identity = -float(d @ gaps @ d) / (size - 1) if size > 1 else 0.0
-        assert direct == pytest.approx(via_identity, abs=1e-10)
+        d = [a - b for a, b in zip(ppt(m1).probabilities, ppt(m2).probabilities)]
+        gaps = _left_sum(d[i] * d[j] * abs(i - j) for i in range(size) for j in range(size))
+        direct = 2 * exact.red_radicand(exact.masses(m1), exact.masses(m2), size)
+        assert -gaps / (size - 1) == pytest.approx(direct, abs=1e-10)
 
     @given(pair=bba_pairs(min_size=1, max_size=64))
     def test_closed_form_equals_matrix_form(self, pair):
-        import numpy as np
-
         # The definition: sqrt(1/2 d^T S d) on the pignistic difference d.
         m1, m2 = pair
-        d = np.array(ppt(m1).probabilities) - np.array(ppt(m2).probabilities)
-        radicand = float(d @ correlation_matrix(m1.frame.size) @ d)
-        matrix_form = math.sqrt(0.5 * max(radicand, 0.0))
-        assert red_distance(m1, m2) == pytest.approx(matrix_form, abs=1e-12)
+        radicand = exact.red_radicand(exact.masses(m1), exact.masses(m2), m1.frame.size)
+        assert red_distance(m1, m2) == pytest.approx(math.sqrt(radicand), abs=1e-12)
 
     @given(pair=bba_pairs(max_size=10))
     def test_zero_iff_equal_pignistic(self, pair):

@@ -2,12 +2,12 @@
 
 import json
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact
 from conftest import bba_pairs, bbas_on, make_frame, random_bba
 from evidist.core import build_bba, build_frame
 from evidist.distance import DistanceMeasure
@@ -266,57 +266,27 @@ def random_document(seed):
     return json.dumps({"frame": [f"g{i}" for i in range(1, size + 1)], "bbas": bbas})
 
 
-def exact_key(text, reference, candidate):
-    """The measure in rational arithmetic on the BBAs' float masses, as a
-    radicand for red and jousselme, whose roots keep its order."""
-    m1 = {bits: Fraction(mass) for bits, mass in reference._by_bits.items()}
-    m2 = {bits: Fraction(mass) for bits, mass in candidate._by_bits.items()}
-    if text == "jousselme":
-        focal = sorted(m1.keys() | m2.keys())
-        d = [m1.get(a, 0) - m2.get(a, 0) for a in focal]
-        return sum(
-            d[i] * d[j] * Fraction((a & b).bit_count(), (a | b).bit_count())
-            for i, a in enumerate(focal)
-            for j, b in enumerate(focal)
-        ) / 2
-    size = reference.frame.size
-    delta = [Fraction(0)] * size
-    for masses, sign in ((m1, 1), (m2, -1)):
-        for bits, mass in masses.items():
-            for i in range(size):
-                if bits >> i & 1:
-                    delta[i] += sign * mass / bits.bit_count()
-    if text == "red":
-        cdf = [sum(delta[: k + 1]) for k in range(size - 1)]
-        return sum(c * c for c in cdf) / (size - 1)
-    if text == "betp:all":
-        return sum(x for x in delta if x > 0)
-    if text == "betp:singleton":
-        return max(abs(x) for x in delta)
-    return max(  # betp:focal
-        abs(sum(x for i, x in enumerate(delta) if bits >> i & 1))
-        for bits in m1.keys() | m2.keys()
-    )
-
-
 @settings(max_examples=80)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_ranking_agrees_with_exact_ranking_outside_ties(seed):
     document = parse_document(random_document(seed))
     names = list(document.bbas)
     reference = document.bba(names[seed % len(names)])
+    reference_masses, size = exact.masses(reference), reference.frame.size
     for text in ("red", "jousselme", "betp:all", "betp:singleton", "betp:focal"):
         result = rank_by_distance(reference, document.bbas, DistanceMeasure.parse(text))
         # Tie clusters as the ranking forms them: over the sorted distances,
-        # a new one starts wherever the gap exceeds TIE_TOLERANCE.
-        cluster_of, exact, previous = {}, [], None
+        # a new one starts wherever the gap exceeds TIE_TOLERANCE. The exact
+        # keys of red and jousselme are radicands, whose roots keep their order.
+        cluster_of, exact_keys, previous = {}, [], None
         for entry in sorted(result.entries, key=lambda e: e.distance):
             if previous is None or entry.distance - previous > TIE_TOLERANCE:
-                exact.append([])
+                exact_keys.append([])
             previous = entry.distance
-            cluster_of[entry.name] = len(exact) - 1
-            exact[-1].append(exact_key(text, reference, document.bba(entry.name)))
+            cluster_of[entry.name] = len(exact_keys) - 1
+            candidate = exact.masses(document.bba(entry.name))
+            exact_keys[-1].append(exact.measure(text, reference_masses, candidate, size))
         ranked = [cluster_of[entry.name] for entry in result.entries]
         assert ranked == sorted(ranked), (text, seed)
-        for lower, upper in zip(exact, exact[1:]):
+        for lower, upper in zip(exact_keys, exact_keys[1:]):
             assert max(lower) < min(upper), (text, seed)
